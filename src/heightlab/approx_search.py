@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,12 +143,20 @@ class ErrVal:
 
     def champion(self) -> _Atom:
         if self._champ is None:
-            best = 0
-            for i in range(1, len(self.atoms)):
-                if _cmp_atoms(self.atoms[i], self.atoms[best]) > 0:
-                    best = i
-            self._champ = best
+            self.tied()
         return self.atoms[self._champ]
+
+    def tied(self) -> List[int]:
+        """Coordinates whose error equals the max-norm error, champion first."""
+        tied = [0]
+        for i in range(1, len(self.atoms)):
+            c = _cmp_atoms(self.atoms[i], self.atoms[tied[0]])
+            if c > 0:
+                tied = [i]
+            elif c == 0:
+                tied.append(i)
+        self._champ = tied[0]
+        return tied
 
     def interval(self, bits: int) -> Interval:
         ivs = [a.interval(bits) for a in self.atoms]
@@ -601,14 +609,12 @@ def fast_best(
     if d == 1:
         return _fast_d1(targets, budget)
 
-    tables = [_BestTable(t) for t in targets]
     cap = _den_cap(budget, d)
 
     if kind is HeightKind.MAX:
-        entries = [tb.best_at(cap) for tb in tables]
-        opt = ErrVal(targets, [f for _, f in entries])
+        opt = ErrVal(targets, [_BestTable(t).best_at(cap)[1] for t in targets])
     elif kind in (HeightKind.PROD, HeightKind.PROD_ROOT):
-        opt = _prod_opt(targets, tables, cap, enum_cap)
+        opt = _prod_opt(targets, cap, enum_cap)
     elif kind is HeightKind.LCM:
         opt = _lcm_opt(targets, cap, enum_cap)
     else:  # pragma: no cover
@@ -618,24 +624,18 @@ def fast_best(
     return _finish(targets, kind, _lex_min(ties))
 
 
-def _prod_opt(targets, tables: List[_BestTable], prod_cap: int, enum_cap: int) -> ErrVal:
-    """Best error over allocations of the product cap, via table denominators."""
-    den_lists = [tb.dens_up_to(prod_cap) for tb in tables]
-    tuples: List[Tuple[int, ...]] = []
+def _prod_opt(targets, prod_cap: int, enum_cap: int) -> ErrVal:
+    """Best error over table denominator tuples within the product cap.
 
-    def rec(j: int, prefix: Tuple[int, ...], left: int) -> None:
-        if j == len(den_lists):
-            tuples.append(prefix)
-            return
-        for q in den_lists[j]:
-            if q > left:
-                break
-            rec(j + 1, prefix + (q,), left // q)
-
-    rec(0, (), prod_cap)
-    if len(tuples) > enum_cap:
-        raise CapExceededError("allocation tuples exceed enumeration cap")
-    return _scan_opt(targets, tuples)
+    It is the error of the last record of the frontier walk: the staircase
+    ends at the cheapest tuple reaching the smallest error within the cap.
+    """
+    opt: Optional[ErrVal] = None
+    for _, opt in _prod_frontier(targets, prod_cap, enum_cap):
+        pass
+    if opt is None:
+        raise PrecisionExhaustedError("no admissible candidate point")
+    return opt
 
 
 def _divisor_lists(cap: int, enum_cap: int) -> List[List[int]]:
@@ -692,30 +692,6 @@ def _lcm_opt(targets, lcm_cap: int, enum_cap: int) -> ErrVal:
         if best is None or ev.compare(best) < 0:
             best = ev
             best_hi = ev.champion().float_bounds()[1]
-    if best is None:
-        raise PrecisionExhaustedError("no admissible candidate point")
-    return best
-
-
-def _scan_opt(targets, tuples: List[Tuple[int, ...]]) -> ErrVal:
-    d = len(targets)
-    arr = np.array(tuples, dtype=np.int64)
-    xl, xh = _coord_float_bounds(targets)
-    lo = np.full(len(tuples), -np.inf)
-    hi = np.full(len(tuples), -np.inf)
-    for j in range(d):
-        clo, chi = _filter_bounds(arr[:, j], xl[j], xh[j])
-        lo = np.maximum(lo, clo)
-        hi = np.maximum(hi, chi)
-    opt_hi = hi.min()
-    best: Optional[ErrVal] = None
-    for idx in np.nonzero(lo <= opt_hi)[0]:
-        got = _tuple_best(targets, arr[idx])
-        if got is None:
-            continue
-        _, ev = got
-        if best is None or ev.compare(best) < 0:
-            best = ev
     if best is None:
         raise PrecisionExhaustedError("no admissible candidate point")
     return best
@@ -792,58 +768,54 @@ def _records_max(targets, cap: int, enum_cap: int) -> List[ApproxRecord]:
     return chain
 
 
-def _records_prod(targets, kind, prod_cap: int, enum_cap: int) -> List[ApproxRecord]:
+def _prod_frontier(targets, prod_cap: int, enum_cap: int) -> Iterator[Tuple[int, ErrVal]]:
+    """Record staircase (product, error) over table denominator tuples.
+
+    Every coordinate starts at its first ``_BestTable`` entry.  Each step
+    yields the current tuple, then moves every coordinate whose error ties
+    the max-norm error to its next entry.  The walk stops when the product
+    passes ``prod_cap`` or when a table has no entry left within the cap.
+    An exact zero error ends the walk too: it ties every coordinate, and an
+    exact hit is the last entry of its table.
+
+    A table entry is a best approximation of the first kind, so its fraction
+    is the nearest reduced fraction at its denominator, and table errors
+    strictly decrease.  By induction every yielded tuple takes, in each
+    coordinate, the smallest table denominator whose error is below the
+    previous tuple's error E: coordinates below E stay put, and the tied ones
+    need their next entry.  Any tuple with error < E takes at least these
+    denominators in every coordinate, so it costs a larger product unless it
+    is this very tuple.  Hence each step is the unique cheapest tuple that
+    strictly beats its predecessor, i.e. the next record, and the walk lists
+    the (product, error) Pareto staircase of the tuples (Kung, Luccio and
+    Preparata 1975) in O(sum of table sizes) steps.
+    """
     tables = [_BestTable(t) for t in targets]
-    den_lists = [tb.dens_up_to(prod_cap) for tb in tables]
-    tuples: List[Tuple[int, ...]] = []
-
-    def rec(j, prefix, left):
-        if len(tuples) > enum_cap:
-            raise CapExceededError("record sweep exceeds enumeration cap")
-        if j == len(den_lists):
-            tuples.append(prefix)
+    for tb in tables:
+        tb.extend_to(prod_cap)
+    idx = [0] * len(tables)
+    steps = 0
+    while all(k < len(tb.entries) for k, tb in zip(idx, tables)):
+        entries = [tb.entries[k] for k, tb in zip(idx, tables)]
+        prod = math.prod(q for q, _ in entries)
+        if prod > prod_cap:
             return
-        for q in den_lists[j]:
-            if q > left:
-                break
-            rec(j + 1, prefix + (q,), left // q)
+        steps += 1
+        if steps > enum_cap:
+            raise CapExceededError("frontier walk exceeds enumeration cap")
+        ev = ErrVal(targets, [f for _, f in entries])
+        tied = ev.tied()
+        yield prod, ev
+        for i in tied:
+            idx[i] += 1
 
-    rec(0, (), prod_cap)
-    tuples.sort(key=lambda t: (math.prod(t), t))
-    arr = np.array(tuples, dtype=np.int64)
-    xl, xh = _coord_float_bounds(targets)
-    lo = np.full(len(tuples), -np.inf)
-    for j in range(len(targets)):
-        clo, _ = _filter_bounds(arr[:, j], xl[j], xh[j])
-        lo = np.maximum(lo, clo)
 
-    d = len(targets)
-    root = d if kind is HeightKind.PROD_ROOT else 1
+def _records_prod(targets, kind, prod_cap: int, enum_cap: int) -> List[ApproxRecord]:
+    root = len(targets) if kind is HeightKind.PROD_ROOT else 1
     chain: List[ApproxRecord] = []
     cur: Optional[ErrVal] = None
-    cur_hi = math.inf
-    i = 0
-    # process one height (= product value) at a time: the record at a height
-    # must beat every tuple of that height, not just the first improving one
-    while i < len(tuples):
-        hv = math.prod(tuples[i])
-        j = i
-        group_best: Optional[ErrVal] = None
-        while j < len(tuples) and math.prod(tuples[j]) == hv:
-            if lo[j] < cur_hi:
-                got = _tuple_best(targets, tuples[j])
-                if got is not None:
-                    _, ev = got
-                    if group_best is None or ev.compare(group_best) < 0:
-                        group_best = ev
-            j += 1
-        i = j
-        if group_best is None:
-            continue
-        nxt = _chain_append(chain, cur, group_best, HeightValue(hv, root))
-        if nxt is not cur:
-            cur = nxt
-            cur_hi = float(cur.certified_interval().upper)
+    for prod, ev in _prod_frontier(targets, prod_cap, enum_cap):
+        cur = _chain_append(chain, cur, ev, HeightValue(prod, root))
     return chain
 
 

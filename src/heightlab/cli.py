@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .approx_search import (
+    DEFAULT_ENUM_CAP,
     brute_force_best,
     Budget,
     fast_best,
@@ -75,6 +76,14 @@ def _tau(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational {text!r}: {exc}")
+
+
+def _enum_cap(args) -> int:
+    if args.enum_cap is None:
+        return DEFAULT_ENUM_CAP
+    if args.enum_cap < 1:
+        raise UsageError(f"--enum-cap must be >= 1, got {args.enum_cap}")
+    return args.enum_cap
 
 
 def _schedule(text: str) -> List[HeightValue]:
@@ -320,7 +329,7 @@ def _cmd_approx(args) -> int:
         raise UsageError("--bound is required")
     bound = _bound(args.bound)
     x = _targets(args, budget)
-    enum_cap = args.enum_cap or 10 ** 7
+    enum_cap = _enum_cap(args)
     if args.count:
         if args.tau is None:
             raise UsageError("--count needs --tau")
@@ -361,7 +370,7 @@ def _cmd_exponent(args) -> int:
     kind = _kind(args.height)
     cap = _bound(args.cap) if args.cap is not None else HeightValue(10 ** 6)
     warmup = args.warmup if args.warmup is not None else 100
-    enum_cap = args.enum_cap or 10 ** 7
+    enum_cap = _enum_cap(args)
     x = _targets(args, budget)
     try:
         if args.tau is not None:
@@ -411,7 +420,7 @@ def _cmd_experiment(args) -> int:
             trials=args.trials if args.trials is not None else 20,
             height_cap=_bound(args.cap) if args.cap is not None else HeightValue(10 ** 6),
             precision_budget=args.precision_bits or DEFAULT_PRECISION_BUDGET,
-            enum_cap=args.enum_cap or 10 ** 7,
+            enum_cap=_enum_cap(args),
             out=args.out,
         )
         try:
@@ -437,7 +446,7 @@ def _cmd_experiment(args) -> int:
         if len(caps) < 2:
             raise UsageError("minsplit needs a schedule of at least two caps")
         try:
-            rep = min_split_experiment(tau, caps, enum_cap=args.enum_cap or 10 ** 7)
+            rep = min_split_experiment(tau, caps, enum_cap=_enum_cap(args))
         except ValueError as exc:
             raise UsageError(str(exc))
         rows = [

@@ -52,8 +52,10 @@ def iroot(n: int, k: int) -> int:
 def _canonical(base: int, root: int) -> tuple:
     if base == 1:
         return 1, 1
+    # a perfect m-th power c**m with c >= 2 has m < bit_length, so the scan
+    # stops after O(log base) steps however large root is
     m = 2
-    while m <= root:
+    while m <= root and m < base.bit_length():
         if root % m == 0:
             c = iroot(base, m)
             if c ** m == base:

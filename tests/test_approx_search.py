@@ -1,12 +1,19 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heightlab.approx_search import (
     ApproxRecord,
     Budget,
+    ErrVal,
+    _BestTable,
+    _chain_append,
+    _coord_float_bounds,
+    _filter_bounds,
+    _tuple_best,
     brute_force_best,
     fast_best,
     record_csv_rows,
@@ -181,6 +188,116 @@ def test_prod_and_rooted_prod_share_one_chain():
         assert a.point == b.point
         assert a.error == b.error
         assert b.height == HeightValue(a.height.base, 2)
+
+
+PROD_KINDS = [HeightKind.PROD, HeightKind.PROD_ROOT]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", PROD_KINDS)
+def test_prod_records_are_brute_force_optima(d, kind):
+    # each record is the exhaustive optimum at its own height, and the
+    # exhaustive optimum one admissible height lower is strictly worse
+    bound = {
+        (HeightKind.PROD, 2): HeightValue(150),
+        (HeightKind.PROD, 3): HeightValue(40),
+        (HeightKind.PROD_ROOT, 2): HeightValue(12),
+        (HeightKind.PROD_ROOT, 3): HeightValue(3),
+    }[kind, d]
+    root = d if kind is HeightKind.PROD_ROOT else 1
+    for seed in range(200, 210):
+        x = sample_uniform(seed, d)
+        chain = records(x, kind, bound)
+        assert chain[0].height == HeightValue(1)
+        for rec in chain:
+            best = brute_force_best(x, Budget(kind, rec.height))
+            assert (best.point, best.error) == (rec.point, rec.error)
+            prod = math.prod(f.denominator for f in rec.point)
+            assert rec.height == HeightValue(prod, root)
+            if prod == 1:
+                continue
+            below = brute_force_best(x, Budget(kind, HeightValue(prod - 1, root)))
+            assert ErrVal(x, below.point).compare(ErrVal(x, rec.point)) > 0
+
+
+def _enumerated_prod_records(targets, kind, prod_cap):
+    """The record sweep over every table-denominator tuple, sorted by product."""
+    den_lists = [_BestTable(t).dens_up_to(prod_cap) for t in targets]
+    tuples = []
+
+    def rec(j, prefix, left):
+        if j == len(den_lists):
+            tuples.append(prefix)
+            return
+        for q in den_lists[j]:
+            if q > left:
+                break
+            rec(j + 1, prefix + (q,), left // q)
+
+    rec(0, (), prod_cap)
+    tuples.sort(key=lambda t: (math.prod(t), t))
+    arr = np.array(tuples, dtype=np.int64)
+    xl, xh = _coord_float_bounds(targets)
+    lo = np.full(len(tuples), -np.inf)
+    for j in range(len(targets)):
+        lo = np.maximum(lo, _filter_bounds(arr[:, j], xl[j], xh[j])[0])
+    root = len(targets) if kind is HeightKind.PROD_ROOT else 1
+    chain, cur, cur_hi, i = [], None, math.inf, 0
+    while i < len(tuples):
+        hv = math.prod(tuples[i])
+        group_best = None
+        while i < len(tuples) and math.prod(tuples[i]) == hv:
+            if lo[i] < cur_hi:
+                got = _tuple_best(targets, tuples[i])
+                if got is not None and (group_best is None or got[1].compare(group_best) < 0):
+                    group_best = got[1]
+            i += 1
+        if group_best is not None:
+            nxt = _chain_append(chain, cur, group_best, HeightValue(hv, root))
+            if nxt is not cur:
+                cur = nxt
+                cur_hi = float(cur.certified_interval().upper)
+    return chain
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_frontier_chain_matches_tuple_enumeration(d):
+    for seed in range(300, 320):
+        x = sample_uniform(seed, d)
+        want = _enumerated_prod_records(x, HeightKind.PROD, 10 ** 4)
+        assert records(x, HeightKind.PROD, HeightValue(10 ** 4)) == want
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        (Fraction(1, 2), Fraction(1, 2)),
+        (Fraction(2, 7), Fraction(3, 7)),
+        (Fraction(1, 3), Fraction(1, 3), Fraction(2, 5)),
+        (Fraction(1, 4), Fraction(3, 4)),
+    ],
+)
+@pytest.mark.parametrize("kind", PROD_KINDS)
+def test_fast_prod_matches_brute_force_on_tied_rationals(coords, kind):
+    # tied coordinates advance together, and an exact hit ends the walk
+    x = tuple(RationalTarget(f) for f in coords)
+    for bound in range(1, 16 if kind is HeightKind.PROD_ROOT else 40):
+        b = Budget(kind, HeightValue(bound))
+        assert fast_best(x, b) == brute_force_best(x, b)
+
+
+def test_every_walk_step_is_a_record():
+    # tied coordinates advance together, so no step fails to improve and a
+    # step budget of the chain length suffices, even for a repeated target
+    g = golden_target()
+    for x in [(g, g), sample_uniform(9, 3)]:
+        chain = records(x, HeightKind.PROD, HeightValue(10 ** 6))
+        assert records(x, HeightKind.PROD, HeightValue(10 ** 6), enum_cap=len(chain)) == chain
+
+
+def test_record_walk_cap_guard():
+    with pytest.raises(CapExceededError):
+        records(sample_uniform(5, 2), HeightKind.PROD, HeightValue(10 ** 6), enum_cap=3)
 
 
 def test_records_reject_rational_coordinates():

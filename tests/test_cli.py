@@ -120,6 +120,24 @@ def test_approx_cap_exceeded(capsys):
     assert "cap exceeded" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("approx", "--target", "golden", "--height", "max", "--bound", "8"),
+        ("exponent", "--target", "golden", "--height", "max", "--cap", "10000"),
+        ("experiment", "--name", "khintchine", "--d", "2", "--kind", "max",
+         "--trials", "1", "--workers", "1"),
+        ("experiment", "--name", "minsplit", "--schedule", "1000,100000"),
+    ],
+)
+def test_nonpositive_enum_cap_is_usage_error(capsys, argv, cap):
+    code, out, err = run(capsys, *argv, "--enum-cap", cap)
+    assert code == 2
+    assert "--enum-cap must be >= 1" in err
+    assert out == ""
+
+
 def test_exponent_insufficient_data(capsys):
     code, _, err = run(capsys, "exponent", "--target", "golden", "--height", "max",
                        "--cap", "100")

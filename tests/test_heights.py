@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,50 @@ def test_canonicalization():
     assert HeightValue(27, 3) == HeightValue(3)
     assert HeightValue(12, 2).base == 12
     assert HeightValue(1, 5) == HeightValue(1)
+
+
+@pytest.mark.parametrize(
+    "pair, want",
+    [
+        ((64, 6), (2, 1)),
+        ((8, 6), (2, 2)),
+        ((7, 10 ** 7), (7, 10 ** 7)),
+        ((2 ** 60, 12), (32, 1)),
+        ((3 ** 10, 4), (3 ** 5, 2)),
+        ((5 ** 6, 6), (5, 1)),
+        ((10 ** 18, 3), (10 ** 6, 1)),
+        ((10 ** 18, 3 ** 13), (100, 3 ** 11)),
+        ((2, 10 ** 9 + 7), (2, 10 ** 9 + 7)),
+        ((6 ** 35, 35), (6, 1)),
+    ],
+)
+def test_canonical_pairs(pair, want):
+    v = HeightValue(*pair)
+    assert (v.base, v.root) == want
+
+
+def _canonical_reference(base, root):
+    # every divisor of root in turn, as long as it takes
+    m = 2
+    while m <= root:
+        if root % m == 0 and iroot(base, m) ** m == base:
+            base, root = iroot(base, m), root // m
+            continue
+        m += 1
+    return (1, 1) if base == 1 else (base, root)
+
+
+@given(c=st.integers(1, 40), k=st.integers(1, 12), root=st.integers(1, 60))
+def test_canonical_matches_divisor_scan(c, k, root):
+    v = HeightValue(c ** k, root)
+    assert (v.base, v.root) == _canonical_reference(c ** k, root)
+
+
+def test_canonical_is_cheap_for_huge_roots():
+    start = time.perf_counter()
+    HeightValue(7, 10 ** 7)
+    HeightValue(2 ** 64 + 1, 10 ** 12)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_cross_power_ordering():
