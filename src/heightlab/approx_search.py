@@ -263,6 +263,10 @@ class _BestTable:
                     return
                 fam = self._next_family()
                 if fam is None:
+                    # the target 0 has no partial quotient: 0/1 is its only entry
+                    if not self._seed_decided:
+                        self._seed_decided = True
+                        self.entries.append((1, Fraction(0, 1)))
                     return
                 fam["k"] = self._kstar(fam)
                 if not self._seed_decided:
@@ -548,14 +552,11 @@ def _certified_min_atoms(cand_atoms: List[_Atom]) -> _Atom:
 
 
 def _qualifying_dens(
-    target: RealTarget, den_cap: int, opt_hi_f: float, enum_cap: int
+    den_cap: int, x_lo: float, x_hi: float, opt_hi_f: float, enum_cap: int
 ) -> List[int]:
     """Dens <= den_cap whose best candidate might reach error <= opt (floats)."""
     if den_cap > enum_cap:
         raise CapExceededError(f"tie scan over {den_cap} denominators exceeds cap")
-    e = refine(target, min(192, target.budget))
-    x_lo = math.nextafter(float(e.lower), -math.inf)
-    x_hi = math.nextafter(float(e.upper), math.inf)
     qs = np.arange(1, den_cap + 1, dtype=np.int64)
     lo, _ = _filter_bounds(qs, x_lo, x_hi)
     return [int(q) for q in qs[lo <= opt_hi_f * (1.0 + _SLOP) + 1e-300]]
@@ -563,7 +564,18 @@ def _qualifying_dens(
 
 def _fast_ties(targets, kind, cap, opt: ErrVal, enum_cap):
     opt_hi_f = opt.champion().float_bounds()[1]
-    den_sets = [_qualifying_dens(t, cap, opt_hi_f, enum_cap) for t in targets]
+    caps = [cap] * len(targets)
+    if kind in (HeightKind.PROD, HeightKind.PROD_ROOT):
+        # opt is the frontier walk's last tuple, so each of its denominators
+        # q_i is the smallest one reaching error <= opt in its coordinate.  A
+        # tuple tying opt therefore takes at least q_j in every coordinate j,
+        # which leaves at most cap * q_i // prod(q) for coordinate i.
+        qs = [f.denominator for f in opt.point]
+        caps = [cap * q // math.prod(qs) for q in qs]
+    xl, xh = _coord_float_bounds(targets)
+    den_sets = [
+        _qualifying_dens(c, lo, hi, opt_hi_f, enum_cap) for c, lo, hi in zip(caps, xl, xh)
+    ]
     d = len(targets)
     tuples: List[Tuple[int, ...]] = []
     visits = 0
@@ -630,12 +642,7 @@ def _prod_opt(targets, prod_cap: int, enum_cap: int) -> ErrVal:
     It is the error of the last record of the frontier walk: the staircase
     ends at the cheapest tuple reaching the smallest error within the cap.
     """
-    opt: Optional[ErrVal] = None
-    for _, opt in _prod_frontier(targets, prod_cap, enum_cap):
-        pass
-    if opt is None:
-        raise PrecisionExhaustedError("no admissible candidate point")
-    return opt
+    return _last_record(_prod_frontier(targets, prod_cap, enum_cap))
 
 
 def _divisor_lists(cap: int, enum_cap: int) -> List[List[int]]:
@@ -668,33 +675,7 @@ def _best_over_dens(target: RealTarget, dens: Sequence[int], lo, hi) -> Optional
 
 def _lcm_opt(targets, lcm_cap: int, enum_cap: int) -> ErrVal:
     """Best error over common-denominator scales D <= cap via divisor dens."""
-    divisors = _divisor_lists(lcm_cap, enum_cap)
-    best: Optional[ErrVal] = None
-    best_hi = math.inf
-    xl, xh = _coord_float_bounds(targets)
-    qs = np.arange(1, lcm_cap + 1, dtype=np.int64)
-    per_coord = [_filter_bounds(qs, xl[j], xh[j]) for j in range(len(targets))]
-    for dd in range(1, lcm_cap + 1):
-        divs = np.array(divisors[dd], dtype=np.int64) - 1
-        cand_lo = max(float(per_coord[j][0][divs].min()) for j in range(len(targets)))
-        if cand_lo >= best_hi:
-            continue
-        atoms = []
-        for j, t in enumerate(targets):
-            a = _best_over_dens(t, divisors[dd], per_coord[j][0][divs], per_coord[j][1][divs])
-            if a is None:
-                atoms = None
-                break
-            atoms.append(a)
-        if atoms is None:
-            continue
-        ev = ErrVal(targets, [a.frac for a in atoms])
-        if best is None or ev.compare(best) < 0:
-            best = ev
-            best_hi = ev.champion().float_bounds()[1]
-    if best is None:
-        raise PrecisionExhaustedError("no admissible candidate point")
-    return best
+    return _last_record(_lcm_walk(targets, lcm_cap, enum_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -726,46 +707,55 @@ def records(
     d = len(targets)
     cap = _den_cap(budget, d)
     if d == 1:
-        table = _BestTable(targets[0])
-        table.extend_to(cap)
-        out = []
-        for den, frac in table.entries:
-            if den > cap:
-                break
-            ev = ErrVal(targets, (frac,))
-            out.append(ApproxRecord(ev.point, ev.certified_interval(), HeightValue(den)))
-        return out
-    if kind is HeightKind.MAX:
-        return _records_max(targets, cap, enum_cap)
-    if kind in (HeightKind.PROD, HeightKind.PROD_ROOT):
-        return _records_prod(targets, kind, cap, enum_cap)
-    return _records_lcm(targets, cap, enum_cap)
+        walk = _walk_d1(targets, cap)
+    elif kind is HeightKind.MAX:
+        walk = _walk_max(targets, cap)
+    elif kind in (HeightKind.PROD, HeightKind.PROD_ROOT):
+        root = d if kind is HeightKind.PROD_ROOT else 1
+        walk = (
+            (HeightValue(prod, root), ev)
+            for prod, ev in _prod_frontier(targets, cap, enum_cap)
+        )
+    else:
+        walk = _lcm_walk(targets, cap, enum_cap)
+    return [ApproxRecord(ev.point, ev.certified_interval(), hv) for hv, ev in walk]
 
 
-def _chain_append(chain, cur, ev, hv) -> ErrVal:
-    """Append ev as a record if it strictly improves cur; returns the incumbent."""
-    if cur is None or ev.compare(cur) < 0:
-        chain.append(ApproxRecord(ev.point, ev.certified_interval(), hv))
-        return ev
-    return cur
+def _last_record(walk: Iterable[Tuple[object, ErrVal]]) -> ErrVal:
+    """Error of a record walk's last record: the optimum within its cap."""
+    last: Optional[ErrVal] = None
+    for _, last in walk:
+        pass
+    if last is None:
+        raise PrecisionExhaustedError("no admissible candidate point")
+    return last
 
 
-def _records_max(targets, cap: int, enum_cap: int) -> List[ApproxRecord]:
+def _walk_d1(targets, cap: int) -> Iterator[Tuple[HeightValue, ErrVal]]:
+    """Records of one coordinate: its table entries up to the cap."""
+    table = _BestTable(targets[0])
+    table.extend_to(cap)
+    for den, frac in table.entries:
+        yield HeightValue(den), ErrVal(targets, (frac,))
+
+
+def _walk_max(targets, cap: int) -> Iterator[Tuple[HeightValue, ErrVal]]:
+    """Max-height records: improvements at the merged table denominators."""
     tables = [_BestTable(t) for t in targets]
     breakpoints = sorted({q for tb in tables for q in tb.dens_up_to(cap)})
-    chain: List[ApproxRecord] = []
     cur: Optional[ErrVal] = None
     cur_hi = math.inf
     for bp in breakpoints:
-        point = [tb.best_at(bp)[1] for tb in tables]
-        ev = ErrVal(targets, point)
+        ev = ErrVal(targets, [tb.best_at(bp)[1] for tb in tables])
         if ev.interval(192).lower > cur_hi:
             continue
-        nxt = _chain_append(chain, cur, ev, HeightValue(bp))
-        if nxt is not cur:
-            cur = nxt
-            cur_hi = float(cur.certified_interval().upper)
-    return chain
+        if cur is None or ev.compare(cur) < 0:
+            cur = ev
+            # rounded outward, so never below the incumbent's true error; a
+            # float of the certified upper bound rounds to nearest and can sit
+            # one ulp below it, pruning an improvement within that ulp
+            cur_hi = ev.champion().float_bounds()[1]
+            yield HeightValue(bp), ev
 
 
 def _prod_frontier(targets, prod_cap: int, enum_cap: int) -> Iterator[Tuple[int, ErrVal]]:
@@ -810,22 +800,13 @@ def _prod_frontier(targets, prod_cap: int, enum_cap: int) -> Iterator[Tuple[int,
             idx[i] += 1
 
 
-def _records_prod(targets, kind, prod_cap: int, enum_cap: int) -> List[ApproxRecord]:
-    root = len(targets) if kind is HeightKind.PROD_ROOT else 1
-    chain: List[ApproxRecord] = []
-    cur: Optional[ErrVal] = None
-    for prod, ev in _prod_frontier(targets, prod_cap, enum_cap):
-        cur = _chain_append(chain, cur, ev, HeightValue(prod, root))
-    return chain
-
-
-def _records_lcm(targets, lcm_cap: int, enum_cap: int) -> List[ApproxRecord]:
+def _lcm_walk(targets, lcm_cap: int, enum_cap: int) -> Iterator[Tuple[HeightValue, ErrVal]]:
+    """Lcm-height records: one divisor scan per common denominator D <= cap."""
     divisors = _divisor_lists(lcm_cap, enum_cap)
     d = len(targets)
     xl, xh = _coord_float_bounds(targets)
     qs = np.arange(1, lcm_cap + 1, dtype=np.int64)
     per_coord = [_filter_bounds(qs, xl[j], xh[j]) for j in range(d)]
-    chain: List[ApproxRecord] = []
     cur: Optional[ErrVal] = None
     cur_hi = math.inf
     for dd in range(1, lcm_cap + 1):
@@ -846,11 +827,10 @@ def _records_lcm(targets, lcm_cap: int, enum_cap: int) -> List[ApproxRecord]:
         # improvements always sit at lcm exactly dd; earlier scans covered the rest
         if math.lcm(*(f.denominator for f in ev.point)) != dd:
             continue
-        nxt = _chain_append(chain, cur, ev, HeightValue(dd))
-        if nxt is not cur:
-            cur = nxt
-            cur_hi = float(cur.certified_interval().upper)
-    return chain
+        if cur is None or ev.compare(cur) < 0:
+            cur = ev
+            cur_hi = ev.champion().float_bounds()[1]  # outward, as in _walk_max
+            yield HeightValue(dd), ev
 
 
 def record_csv_rows(chain: Sequence[ApproxRecord]) -> List[Tuple]:

@@ -23,7 +23,7 @@ import numpy as np
 from .approx_search import DEFAULT_ENUM_CAP, solutions_count
 from .errors import CapExceededError, InsufficientDataError
 from .exponents import omega_estimate
-from .heights import HeightKind, HeightValue
+from .heights import HeightKind, HeightValue, iroot
 from .numerics import (
     DEFAULT_PRECISION_BUDGET,
     golden_target,
@@ -396,19 +396,12 @@ def box_count_probe(
 
 
 def _theta_radius(theta: int, tau: Fraction, root: int) -> Fraction:
-    """Upper bound on Theta^(-tau) where Theta = theta^(1/root)."""
-    num = tau.numerator
-    den = tau.denominator * root
-    power = theta ** num
-    if den == 1:
-        return Fraction(1, power)
-    # smallest k with k^den >= power gives 1/k <= Theta^(-tau) <= 1/(k-1)
-    k = int(round(power ** (1.0 / den)))
-    while k ** den < power:
-        k += 1
-    while k > 1 and (k - 1) ** den >= power:
-        k -= 1
-    return Fraction(1, max(1, k - 1)) if k ** den != power else Fraction(1, k)
+    """Upper bound on Theta^(-tau) where Theta = theta^(1/root).
+
+    With k = iroot(theta^a, b * root) for tau = a/b, k^(b*root) <= theta^a,
+    so k <= Theta^tau and 1/k >= Theta^(-tau); equality holds on exact roots.
+    """
+    return Fraction(1, iroot(theta ** tau.numerator, tau.denominator * root))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from heightlab.approx_search import (
     Budget,
     ErrVal,
     _BestTable,
-    _chain_append,
     _coord_float_bounds,
     _filter_bounds,
     _tuple_best,
@@ -220,6 +219,22 @@ def test_prod_records_are_brute_force_optima(d, kind):
             assert ErrVal(x, below.point).compare(ErrVal(x, rec.point)) > 0
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", [HeightKind.MAX, HeightKind.LCM])
+def test_max_and_lcm_records_are_brute_force_optima(d, kind):
+    # the record error is the exhaustive optimum at its height (the points
+    # may differ on ties), and one height lower the optimum is strictly worse
+    cap = {2: 60, 3: 24}[d]
+    for seed in range(400, 405):
+        x = sample_uniform(seed, d)
+        for rec in records(x, kind, HeightValue(cap)):
+            assert brute_force_best(x, Budget(kind, rec.height)).error == rec.error
+            if rec.height == HeightValue(1):
+                continue
+            below = brute_force_best(x, Budget(kind, HeightValue(rec.height.base - 1)))
+            assert ErrVal(x, below.point).compare(ErrVal(x, rec.point)) > 0
+
+
 def _enumerated_prod_records(targets, kind, prod_cap):
     """The record sweep over every table-denominator tuple, sorted by product."""
     den_lists = [_BestTable(t).dens_up_to(prod_cap) for t in targets]
@@ -252,11 +267,10 @@ def _enumerated_prod_records(targets, kind, prod_cap):
                 if got is not None and (group_best is None or got[1].compare(group_best) < 0):
                     group_best = got[1]
             i += 1
-        if group_best is not None:
-            nxt = _chain_append(chain, cur, group_best, HeightValue(hv, root))
-            if nxt is not cur:
-                cur = nxt
-                cur_hi = float(cur.certified_interval().upper)
+        if group_best is not None and (cur is None or group_best.compare(cur) < 0):
+            cur = group_best
+            chain.append(ApproxRecord(cur.point, cur.certified_interval(), HeightValue(hv, root)))
+            cur_hi = float(cur.certified_interval().upper)
     return chain
 
 
@@ -282,6 +296,28 @@ def test_fast_prod_matches_brute_force_on_tied_rationals(coords, kind):
     # tied coordinates advance together, and an exact hit ends the walk
     x = tuple(RationalTarget(f) for f in coords)
     for bound in range(1, 16 if kind is HeightKind.PROD_ROOT else 40):
+        b = Budget(kind, HeightValue(bound))
+        assert fast_best(x, b) == brute_force_best(x, b)
+
+
+def test_fast_prod_tie_sweep_stays_within_the_frontier_tuple():
+    # the tie sweep scans 200^3 denominators per coordinate without the
+    # bound from the optimum's own denominators
+    x = sample_uniform(0, 3)
+    rec = fast_best(x, Budget(HeightKind.PROD_ROOT, HeightValue(200)), enum_cap=10 ** 5)
+    assert rec.point == (Fraction(341, 375), Fraction(9, 77), Fraction(17, 226))
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [(0,), (0, Fraction(1, 3)), (0, 0), (0, Fraction(2, 7), Fraction(1, 2)), (Fraction(1, 2), 0)],
+)
+@pytest.mark.parametrize(
+    "kind", [HeightKind.MAX, HeightKind.PROD, HeightKind.PROD_ROOT, HeightKind.LCM]
+)
+def test_fast_matches_brute_force_on_zero_targets(coords, kind):
+    x = tuple(RationalTarget(Fraction(f)) for f in coords)
+    for bound in range(1, 13):
         b = Budget(kind, HeightValue(bound))
         assert fast_best(x, b) == brute_force_best(x, b)
 

@@ -6,6 +6,7 @@ import pytest
 from heightlab.experiments import (
     BoxCountReport,
     RunConfig,
+    _theta_radius,
     box_count_probe,
     critical_exponent,
     khintchine_experiment,
@@ -134,6 +135,31 @@ def test_box_probe_frozen_counts_and_slope():
     assert bc.levels[-1] == (14, 101524)
     assert bc.skipped == ()
     assert 0.7 < bc.slope < 1.3
+
+
+@pytest.mark.parametrize(
+    "theta, tau, root, want",
+    [
+        (8, Fraction(1), 1, Fraction(1, 8)),
+        (8, Fraction(1, 3), 1, Fraction(1, 2)),
+        (10, Fraction(1, 2), 1, Fraction(1, 3)),
+        (16, Fraction(3, 2), 2, Fraction(1, 8)),
+        (17, Fraction(3, 2), 2, Fraction(1, 8)),
+        (2, Fraction(9, 4), 2, Fraction(1, 2)),
+        (1, Fraction(7, 3), 2, Fraction(1)),
+        # theta**799 overflows a float
+        (3, Fraction(799, 100), 1, Fraction(1, 6489)),
+        (3, Fraction(799, 100), 2, Fraction(1, 80)),
+        (3, Fraction(799, 100), 3, Fraction(1, 18)),
+    ],
+)
+def test_theta_radius_exact_values(theta, tau, root, want):
+    assert _theta_radius(theta, tau, root) == want
+
+
+def test_box_probe_runs_at_large_tau_numerators():
+    bc = box_count_probe(HeightKind.MAX, Fraction(799, 100))
+    assert bc.levels
 
 
 def test_box_probe_saturates_at_low_tau():
