@@ -6,8 +6,10 @@ best-approximation tables.  Both resolve every comparison exactly: floating
 point only prefilters, and the winner set plus tie-break order come from
 interval refinement or rational arithmetic.
 
-Tie-break everywhere: smallest numerator vector (lexicographic), then
-smallest denominator vector.
+Tie-break of ``fast_best`` and ``brute_force_best``: smallest numerator
+vector (lexicographic), then smallest denominator vector.  A point of
+``records`` is not tie-broken: it is a witness of the record's certified
+error at the record's height.
 """
 
 from __future__ import annotations
@@ -698,6 +700,8 @@ def records(
 
     Each returned record strictly improves the certified error of everything
     at smaller or equal height; heights strictly increase along the chain.
+    A record's point has the record's height and error, but among tied points
+    it need not be the lex-min one that ``fast_best`` returns.
     """
     targets = _validate_targets(x)
     if kind is HeightKind.MIN:

@@ -63,7 +63,7 @@ class ConstantTrace:
 
 
 def _log_height(hv: HeightValue) -> Interval:
-    ln = ln_enclosure(Fraction(hv.base), bits=_LOG_BITS)
+    ln = ln_enclosure(hv.base, bits=_LOG_BITS)
     return Interval(ln.lower / hv.root, ln.upper / hv.root)
 
 
@@ -155,7 +155,7 @@ def constant_estimate(
     for rec in chain:
         if rec.height < HeightValue(2) or rec.error.lower <= 0:
             continue
-        hp = pow_enclosure(Fraction(rec.height.base), tau / rec.height.root, bits=_LOG_BITS)
+        hp = pow_enclosure(rec.height.base, tau / rec.height.root, bits=_LOG_BITS)
         entries.append(
             TraceEntry(
                 rec.height,

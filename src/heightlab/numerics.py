@@ -12,9 +12,10 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
-from mpmath import iv
+from mpmath.libmp import fzero, from_int, mpf_div, mpf_exp, mpf_log
+from mpmath.libmp import round_ceiling as _CEIL, round_floor as _FLOOR
 
 from .errors import PrecisionExhaustedError
 
@@ -291,55 +292,55 @@ def parse_target(spec: str, budget: int = DEFAULT_PRECISION_BUDGET) -> RealTarge
 
 
 # ---------------------------------------------------------------------------
-# Certified elementary functions.  mpmath's interval context rounds outward,
-# so converting its endpoints back to exact fractions keeps every bound true.
+# Certified elementary functions.  They make the libmp calls that mpmath's
+# interval context makes for iv.log(iv.mpf(p) / iv.mpf(q)) and for iv.exp:
+# from_int, mpf_div, mpf_log and mpf_exp at the same precision, rounded floor
+# for a lower bound and ceiling for an upper one.  So the endpoints are the
+# same dyadic numbers bit for bit, and they enclose the true value as before.
 
 
-def _endpoint_to_fraction(t: tuple) -> Fraction:
-    sign, man, exp, bc = t
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
+def _mpf_bounds(value: Union[int, Fraction], bits: int) -> Tuple[tuple, tuple]:
+    """Lower and upper mpf bounds of value, rounded as ``mpi_div`` rounds
+    ``iv.mpf(p) / iv.mpf(q)`` at ``iv.prec = bits``."""
+    p, q = value.numerator, value.denominator
+    if p == 0:
+        return fzero, fzero
+    q_lo, q_hi = from_int(q, bits, _FLOOR), from_int(q, bits, _CEIL)
+    if p > 0:  # a positive quotient is smallest over the larger denominator
+        q_lo, q_hi = q_hi, q_lo
+    return (mpf_div(from_int(p, bits, _FLOOR), q_lo, bits, _FLOOR),
+            mpf_div(from_int(p, bits, _CEIL), q_hi, bits, _CEIL))
+
+
+def _mpf_to_fraction(t: tuple) -> Fraction:
+    sign, man, exp, _ = t
+    if man == 0 and exp != 0:  # fzero is (0, 0, 0, 0); inf and nan have exp != 0
         raise ValueError("nonfinite interval endpoint")
-    value = Fraction(man) * Fraction(2) ** exp
-    return -value if sign else value
+    man = -man if sign else man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def _to_interval(x) -> Interval:
-    a, b = x._mpi_
-    return Interval(_endpoint_to_fraction(a), _endpoint_to_fraction(b))
-
-
-def _iv_fraction(value: Fraction):
-    return iv.mpf(value.numerator) / iv.mpf(value.denominator)
-
-
-def ln_enclosure(value: Fraction, bits: int = 128) -> Interval:
+def ln_enclosure(value: Union[int, Fraction], bits: int = 128) -> Interval:
     """Certified enclosure of ln(value), value > 0."""
     if value <= 0:
         raise ValueError("ln requires a positive argument")
-    old = iv.prec
-    try:
-        iv.prec = bits
-        return _to_interval(iv.log(_iv_fraction(value)))
-    finally:
-        iv.prec = old
+    lo, hi = _mpf_bounds(value, bits)
+    return Interval(
+        _mpf_to_fraction(mpf_log(lo, bits, _FLOOR)), _mpf_to_fraction(mpf_log(hi, bits, _CEIL))
+    )
 
 
 def exp_enclosure(x: Interval, bits: int = 128) -> Interval:
     """Certified enclosure of exp over an exact-rational interval."""
-    old = iv.prec
-    try:
-        iv.prec = bits
-        lo = _to_interval(iv.exp(_iv_fraction(x.lower)))
-        hi = _to_interval(iv.exp(_iv_fraction(x.upper)))
-        return Interval(lo.lower, hi.upper)
-    finally:
-        iv.prec = old
+    lo, hi = _mpf_bounds(x.lower, bits)[0], _mpf_bounds(x.upper, bits)[1]
+    return Interval(
+        _mpf_to_fraction(mpf_exp(lo, bits, _FLOOR)), _mpf_to_fraction(mpf_exp(hi, bits, _CEIL))
+    )
 
 
-def pow_enclosure(base: Fraction, exponent: Fraction, bits: int = 128) -> Interval:
+def pow_enclosure(base: Union[int, Fraction], exponent: Fraction, bits: int = 128) -> Interval:
     """Certified enclosure of base**exponent for base > 0."""
+    base = Fraction(base)
     if base <= 0:
         raise ValueError("pow requires a positive base")
     if exponent == 0:
@@ -348,8 +349,4 @@ def pow_enclosure(base: Fraction, exponent: Fraction, bits: int = 128) -> Interv
         exact = base ** exponent.numerator
         return Interval(exact, exact)
     ln = ln_enclosure(base, bits)
-    scaled = Interval(
-        min(ln.lower * exponent, ln.upper * exponent),
-        max(ln.lower * exponent, ln.upper * exponent),
-    )
-    return exp_enclosure(scaled, bits)
+    return exp_enclosure(Interval(*sorted((ln.lower * exponent, ln.upper * exponent))), bits)

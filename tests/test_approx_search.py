@@ -223,11 +223,14 @@ def test_prod_records_are_brute_force_optima(d, kind):
 @pytest.mark.parametrize("kind", [HeightKind.MAX, HeightKind.LCM])
 def test_max_and_lcm_records_are_brute_force_optima(d, kind):
     # the record error is the exhaustive optimum at its height (the points
-    # may differ on ties), and one height lower the optimum is strictly worse
+    # may differ on ties: a record's point is a witness of its certified error
+    # at its height), and one height lower the optimum is strictly worse
     cap = {2: 60, 3: 24}[d]
     for seed in range(400, 405):
         x = sample_uniform(seed, d)
         for rec in records(x, kind, HeightValue(cap)):
+            assert height(rec.point, kind) == rec.height
+            assert ErrVal(x, rec.point).certified_interval() == rec.error
             assert brute_force_best(x, Budget(kind, rec.height)).error == rec.error
             if rec.height == HeightValue(1):
                 continue

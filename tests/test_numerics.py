@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import iv, mp
 
 from heightlab.errors import PrecisionExhaustedError
 from heightlab.numerics import (
@@ -233,3 +235,118 @@ def test_pow_enclosure_cube_root_oracle():
 def test_pow_enclosure_integer_exponent_exact():
     e = pow_enclosure(Fraction(7, 2), Fraction(3), 64)
     assert e.lower == e.upper == Fraction(343, 8)
+
+
+def test_pow_enclosure_int_base_negative_exponent_is_exact_fraction():
+    e = pow_enclosure(2, Fraction(-1))
+    assert type(e.lower) is Fraction and type(e.upper) is Fraction
+    assert e.lower == e.upper == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 160, 192])
+def test_ln_enclosure_takes_ints(bits):
+    assert ln_enclosure(7, bits) == ln_enclosure(Fraction(7), bits)
+
+
+# --- bit identity with mpmath's interval context ------------------------------
+# The certified functions make libmp calls directly.  The reference below is
+# the earlier implementation through ``mpmath.iv``; every endpoint must agree
+# exactly.
+
+
+def _iv_endpoint(t: tuple) -> Fraction:
+    sign, man, exp, bc = t
+    if man == 0:
+        if exp == 0:
+            return Fraction(0)
+        raise ValueError("nonfinite interval endpoint")
+    value = Fraction(man) * Fraction(2) ** exp
+    return -value if sign else value
+
+
+def _iv_interval(x) -> Interval:
+    a, b = x._mpi_
+    return Interval(_iv_endpoint(a), _iv_endpoint(b))
+
+
+def _iv_quotient(value):
+    value = Fraction(value)
+    return iv.mpf(value.numerator) / iv.mpf(value.denominator)
+
+
+def _iv_ln(value, bits):
+    old = iv.prec
+    try:
+        iv.prec = bits
+        return _iv_interval(iv.log(_iv_quotient(value)))
+    finally:
+        iv.prec = old
+
+
+def _iv_exp(x, bits):
+    old = iv.prec
+    try:
+        iv.prec = bits
+        lo = _iv_interval(iv.exp(_iv_quotient(x.lower)))
+        hi = _iv_interval(iv.exp(_iv_quotient(x.upper)))
+        return Interval(lo.lower, hi.upper)
+    finally:
+        iv.prec = old
+
+
+def _iv_pow(base, exponent, bits):
+    base = Fraction(base)
+    if exponent == 0:
+        return Interval(Fraction(1), Fraction(1))
+    if exponent.denominator == 1 and abs(exponent.numerator) <= 64:
+        exact = base ** exponent.numerator
+        return Interval(exact, exact)
+    ln = _iv_ln(base, bits)
+    scaled = Interval(
+        min(ln.lower * exponent, ln.upper * exponent),
+        max(ln.lower * exponent, ln.upper * exponent),
+    )
+    return _iv_exp(scaled, bits)
+
+
+def _positive_argument(rng: random.Random):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randint(1, 10**6)
+    if kind == 1:  # an int wider than every precision used
+        return rng.getrandbits(rng.choice([70, 140, 300])) + 1
+    if kind == 2:  # below or above 1
+        return Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+    if kind == 3:  # numerator wider than bits
+        return Fraction(rng.getrandbits(rng.choice([65, 200, 400])) + 1, rng.getrandbits(100) + 1)
+    return Fraction(1, rng.getrandbits(rng.choice([20, 150, 600])) + 1)
+
+
+def _exp_argument(rng: random.Random) -> Interval:
+    if rng.random() < 0.05:
+        lower = Fraction(0)
+    elif rng.random() < 0.7:
+        lower = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**5))
+    else:
+        lower = Fraction(rng.getrandbits(200) - (1 << 199), rng.getrandbits(190) + 1)
+    width = Fraction(rng.randint(0, 1000), rng.randint(1, 10**9)) if rng.random() < 0.5 else 0
+    return Interval(lower, lower + width)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 160, 192])
+def test_elementary_functions_match_interval_context_bit_for_bit(bits):
+    rng = random.Random(7000 + bits)
+    iv_prec, mp_prec = iv.prec, mp.prec
+    for _ in range(300):
+        value = _positive_argument(rng)
+        assert ln_enclosure(value, bits) == _iv_ln(value, bits), (value, bits)
+        x = _exp_argument(rng)
+        assert exp_enclosure(x, bits) == _iv_exp(x, bits), (x, bits)
+        exponent = Fraction(rng.randint(-300, 300), rng.choice([1, 2, 3, 7, 10**6 + 3]))
+        got = pow_enclosure(value, exponent, bits)
+        assert got == _iv_pow(value, exponent, bits), (value, exponent, bits)
+        assert type(got.lower) is Fraction and type(got.upper) is Fraction
+    assert (iv.prec, mp.prec) == (iv_prec, mp_prec)
+    with pytest.raises(ValueError):
+        ln_enclosure(0, bits)
+    assert (iv.prec, mp.prec) == (iv_prec, mp_prec)
