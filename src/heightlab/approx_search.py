@@ -6,6 +6,11 @@ best-approximation tables.  Both resolve every comparison exactly: floating
 point only prefilters, and the winner set plus tie-break order come from
 interval refinement or rational arithmetic.
 
+Under the lcm height a point whose height divides D has coordinates in
+(1/D)Z, so its best choice at D is the nearest multiples round(D*x_i)/D; the
+lcm records and ``fast_best`` certify those points at the D that one chunked
+float scan over D = 1..cap keeps.
+
 Tie-break of ``fast_best`` and ``brute_force_best``: smallest numerator
 vector (lexicographic), then smallest denominator vector.  A point of
 ``records`` is not tie-broken: it is a witness of the record's certified
@@ -185,8 +190,8 @@ class ErrVal:
             bits = min(bits * 2, budget)
 
 
-def _nearest_ps(target: RealTarget, q: int) -> List[int]:
-    """Coprime numerators among the two integers nearest q*x, certified.
+def _neighbours(target: RealTarget, q: int) -> Tuple[int, int]:
+    """The two integers nearest q*x, certified.
 
     When q*x is an exact integer k the pair is (k-1, k): k is nearest and the
     tied second place goes to the smaller integer.
@@ -195,25 +200,30 @@ def _nearest_ps(target: RealTarget, q: int) -> List[int]:
     if ev is not None:
         t = ev * q
         if t.denominator == 1:
-            cands = [t.numerator - 1, t.numerator]
-        else:
-            f = t.numerator // t.denominator
-            cands = [f, f + 1]
-    else:
-        bits = 64
-        while True:
-            e = refine(target, bits)
-            flo = math.floor(e.lower * q)
-            fhi = math.floor(e.upper * q)
-            if flo == fhi:
-                break
-            if bits >= target.budget:
-                raise PrecisionExhaustedError(
-                    f"cannot certify floor({q} * {target.key})"
-                )
-            bits = min(bits * 2, target.budget)
-        cands = [flo, flo + 1]
-    return [p for p in cands if math.gcd(p, q) == 1]
+            return t.numerator - 1, t.numerator
+        f = t.numerator // t.denominator
+        return f, f + 1
+    bits = 64
+    while True:
+        e = refine(target, bits)
+        flo = math.floor(e.lower * q)
+        if flo == math.floor(e.upper * q):
+            return flo, flo + 1
+        if bits >= target.budget:
+            raise PrecisionExhaustedError(f"cannot certify floor({q} * {target.key})")
+        bits = min(bits * 2, target.budget)
+
+
+def _nearest_ps(target: RealTarget, q: int) -> List[int]:
+    """Coprime numerators among the two integers nearest q*x, certified."""
+    return [p for p in _neighbours(target, q) if math.gcd(p, q) == 1]
+
+
+def _nearest_multiples(target: RealTarget, q: int) -> List[Fraction]:
+    """The multiples of 1/q nearest x, certified: both when q*x is a half-integer."""
+    lower, upper = (_Atom(target, Fraction(p, q)) for p in _neighbours(target, q))
+    c = _cmp_atoms(lower, upper)
+    return [a.frac for a, near in ((lower, c <= 0), (upper, c >= 0)) if near]
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +413,35 @@ def _filter_bounds(qcol: np.ndarray, x_lo: float, x_hi: float):
     return lo.min(axis=1), hi.min(axis=1)
 
 
+def _lcm_bounds(targets: Sequence[RealTarget], ds: np.ndarray):
+    """Outer float bounds on max_i ||D*x_i||/D, the error of D's nearest point.
+
+    For x in [0, 1) and D < 2^48 the integer nearest D*x is among f, f+1, f+2
+    with f = floor(fl(D*x_lo)).  Soundness (Goldberg 1991; u = 2^-53): p and D
+    are exact floats, so a = fl(p/D) is within u*|p/D| of p/D, and
+    fl(a - x_b) within u*|a - x_b| of a - x_b for an endpoint x_b.  A computed
+    distance is thus off by u times itself, which _SLOP (about 900u) absorbs
+    with the roundings of the slack arithmetic, plus (u + u^2)*|p/D| <= 2u*|a|.
+    That absolute term is about 1e-7 of an error of 1e-9 at |a| ~ 1/2, far
+    beyond _SLOP, so it gets its own slack 2^-50*|a|.  1e-300 covers underflow.
+    """
+    xl, xh = _coord_float_bounds(targets)
+    lo = np.zeros(len(ds))
+    hi = np.zeros(len(ds))
+    for x_lo, x_hi in zip(xl, xh):
+        a = (np.floor(ds * x_lo)[:, None] + np.arange(3.0)) / ds[:, None]
+        dlo = a - x_hi
+        dhi = a - x_lo
+        clo = np.where(dlo > 0, dlo, np.where(dhi < 0, -dhi, 0.0))
+        chi = np.maximum(np.abs(dlo), np.abs(dhi))
+        slack = np.abs(a) * 2.0 ** -50
+        clo = np.maximum(clo * (1.0 - _SLOP) - slack, 0.0)
+        chi = chi * (1.0 + _SLOP) + slack + 1e-300
+        lo = np.maximum(lo, clo.min(axis=1))
+        hi = np.maximum(hi, chi.min(axis=1))
+    return lo, hi
+
+
 def _phase1(grid: np.ndarray, targets: Sequence[RealTarget]):
     n, d = grid.shape
     tuple_lo = np.empty(n)
@@ -545,14 +584,6 @@ def _fast_d1(targets, budget: Budget) -> ApproxRecord:
     return _finish(targets, budget.kind, _lex_min(cands))
 
 
-def _certified_min_atoms(cand_atoms: List[_Atom]) -> _Atom:
-    best = cand_atoms[0]
-    for a in cand_atoms[1:]:
-        if _cmp_atoms(a, best) < 0:
-            best = a
-    return best
-
-
 def _qualifying_dens(
     den_cap: int, x_lo: float, x_hi: float, opt_hi_f: float, enum_cap: int
 ) -> List[int]:
@@ -595,20 +626,11 @@ def _fast_ties(targets, kind, cap, opt: ErrVal, enum_cap):
                 if q > state:
                     break
                 rec(j + 1, prefix + (q,), state // q)
-            elif kind is HeightKind.LCM:
-                l = math.lcm(state, q)
-                if l <= cap:
-                    rec(j + 1, prefix + (q,), l)
             else:
                 rec(j + 1, prefix + (q,), state)
 
-    rec(0, (), 1 if kind is HeightKind.LCM else cap)
-    ties = _collect_ties(targets, tuples, opt)
-    if not ties:
-        # opt witness itself must be in the tie set; missing it means the
-        # float prefilter and the certified comparison disagree
-        raise AssertionError("certified optimum lost during tie collection")
-    return ties
+    rec(0, (), cap)
+    return _collect_ties(targets, tuples, opt)
 
 
 def fast_best(
@@ -625,16 +647,18 @@ def fast_best(
 
     cap = _den_cap(budget, d)
 
-    if kind is HeightKind.MAX:
-        opt = ErrVal(targets, [_BestTable(t).best_at(cap)[1] for t in targets])
-    elif kind in (HeightKind.PROD, HeightKind.PROD_ROOT):
-        opt = _prod_opt(targets, cap, enum_cap)
-    elif kind is HeightKind.LCM:
-        opt = _lcm_opt(targets, cap, enum_cap)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown height kind {kind!r}")
-
-    ties = _fast_ties(targets, kind, cap, opt, enum_cap)
+    if kind is HeightKind.LCM:
+        ties = _lcm_ties(targets, cap, enum_cap)
+    else:
+        if kind is HeightKind.MAX:
+            opt = ErrVal(targets, [_BestTable(t).best_at(cap)[1] for t in targets])
+        else:
+            opt = _prod_opt(targets, cap, enum_cap)
+        ties = _fast_ties(targets, kind, cap, opt, enum_cap)
+    if not ties:
+        # the optimum's own point must be in the tie set; missing it means the
+        # float prefilter and the certified comparison disagree
+        raise AssertionError("certified optimum lost during tie collection")
     return _finish(targets, kind, _lex_min(ties))
 
 
@@ -647,37 +671,29 @@ def _prod_opt(targets, prod_cap: int, enum_cap: int) -> ErrVal:
     return _last_record(_prod_frontier(targets, prod_cap, enum_cap))
 
 
-def _divisor_lists(cap: int, enum_cap: int) -> List[List[int]]:
-    if cap * int(math.log(cap) + 2) > enum_cap:
-        raise CapExceededError("divisor scan exceeds enumeration cap")
-    divisors: List[List[int]] = [[] for _ in range(cap + 1)]
-    for q in range(1, cap + 1):
-        for mult in range(q, cap + 1, q):
-            divisors[mult].append(q)
-    return divisors
+def _lcm_opt(targets, dens: Sequence[int]) -> ErrVal:
+    """Best error over the scanned common denominators: the last lcm record."""
+    return _last_record(_lcm_walk(targets, dens))
 
 
-def _best_over_dens(target: RealTarget, dens: Sequence[int], lo, hi) -> Optional[_Atom]:
-    """Certified best atom for one coordinate over the given denominators.
+def _lcm_ties(targets, lcm_cap: int, enum_cap: int):
+    """All points of lcm height <= cap whose error equals the optimum E*.
 
-    lo/hi are float bound arrays aligned with dens; every den whose lower
-    bound does not exceed the smallest upper bound is certified exactly.
+    E* <= max_i ||cap*x_i||/cap <= 1/(2*cap), so a tie of lcm L <= cap lies
+    within 1/(2L) of x in every coordinate: it takes nearest multiples of 1/L,
+    either neighbour where L*x_i is a half-integer.  The scan keeps that L, and
+    its lower bound is <= E*, so the denominators of those multiples cover it.
     """
-    cut = hi.min()
-    atom_best = None
-    for oi in np.nonzero(lo <= cut)[0]:
-        opts = _coord_options(target, int(dens[int(oi)]))
-        if not opts:
-            continue
-        a = _certified_min_atoms([o[1] for o in opts])
-        if atom_best is None or _cmp_atoms(a, atom_best) < 0:
-            atom_best = a
-    return atom_best
-
-
-def _lcm_opt(targets, lcm_cap: int, enum_cap: int) -> ErrVal:
-    """Best error over common-denominator scales D <= cap via divisor dens."""
-    return _last_record(_lcm_walk(targets, lcm_cap, enum_cap))
+    dens, lo = _lcm_scan(targets, lcm_cap, enum_cap)
+    opt = _lcm_opt(targets, dens.tolist())
+    if opt.champion().exact == 0:
+        return {opt.point}  # only x itself is at error 0
+    opt_hi_f = opt.champion().float_bounds()[1]
+    tuples = set()
+    for dd in dens[lo <= opt_hi_f].tolist():
+        per_coord = [{f.denominator for f in _nearest_multiples(t, dd)} for t in targets]
+        tuples.update(iter_product(*per_coord))
+    return _collect_ties(targets, tuples, opt)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +717,9 @@ def records(
     Each returned record strictly improves the certified error of everything
     at smaller or equal height; heights strictly increase along the chain.
     A record's point has the record's height and error, but among tied points
-    it need not be the lex-min one that ``fast_best`` returns.
+    it need not be the lex-min one that ``fast_best`` returns.  Lcm records
+    are nearest-multiple points: at height D every coordinate is the multiple
+    of 1/D nearest x_i.
     """
     targets = _validate_targets(x)
     if kind is HeightKind.MIN:
@@ -721,7 +739,7 @@ def records(
             for prod, ev in _prod_frontier(targets, cap, enum_cap)
         )
     else:
-        walk = _lcm_walk(targets, cap, enum_cap)
+        walk = _lcm_walk(targets, _lcm_scan(targets, cap, enum_cap)[0].tolist())
     return [ApproxRecord(ev.point, ev.certified_interval(), hv) for hv, ev in walk]
 
 
@@ -804,37 +822,44 @@ def _prod_frontier(targets, prod_cap: int, enum_cap: int) -> Iterator[Tuple[int,
             idx[i] += 1
 
 
-def _lcm_walk(targets, lcm_cap: int, enum_cap: int) -> Iterator[Tuple[HeightValue, ErrVal]]:
-    """Lcm-height records: one divisor scan per common denominator D <= cap."""
-    divisors = _divisor_lists(lcm_cap, enum_cap)
-    d = len(targets)
-    xl, xh = _coord_float_bounds(targets)
-    qs = np.arange(1, lcm_cap + 1, dtype=np.int64)
-    per_coord = [_filter_bounds(qs, xl[j], xh[j]) for j in range(d)]
+def _lcm_scan(targets, lcm_cap: int, enum_cap: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Common denominators D <= cap that may beat every smaller one, with
+    the float lower bounds of their nearest-point errors.
+
+    A D whose lower bound reaches the upper bound of a smaller D cannot beat
+    it.  Every other D is kept, which includes every record and every D that
+    ties the optimum: upper bounds lie strictly above the errors they bound.
+    """
+    if lcm_cap > enum_cap:
+        raise CapExceededError(f"lcm scan over {lcm_cap} denominators exceeds cap {enum_cap}")
+    kept_d, kept_lo = [], []
+    best_hi = math.inf
+    for start in range(1, lcm_cap + 1, _CHUNK):
+        ds = np.arange(start, min(start + _CHUNK, lcm_cap + 1), dtype=np.int64)
+        lo, hi = _lcm_bounds(targets, ds)
+        below = np.minimum.accumulate(np.concatenate(([best_hi], hi[:-1])))
+        keep = lo < below
+        kept_d.append(ds[keep])
+        kept_lo.append(lo[keep])
+        best_hi = min(best_hi, float(hi.min()))
+    return np.concatenate(kept_d), np.concatenate(kept_lo)
+
+
+def _lcm_walk(targets, dens: Sequence[int]) -> Iterator[Tuple[HeightValue, ErrVal]]:
+    """Lcm-height records among the scanned common denominators.
+
+    The best point whose lcm height divides D takes the nearest multiples of
+    1/D (Lagarias 1982).  If its lcm is L < D it was already L's best point,
+    so each improvement is a record of lcm height exactly D.
+    """
     cur: Optional[ErrVal] = None
-    cur_hi = math.inf
-    for dd in range(1, lcm_cap + 1):
-        divs = np.array(divisors[dd], dtype=np.int64) - 1
-        cand_lo = max(float(per_coord[j][0][divs].min()) for j in range(d))
-        if cand_lo >= cur_hi:
-            continue
-        atoms = []
-        for j, t in enumerate(targets):
-            a = _best_over_dens(t, divisors[dd], per_coord[j][0][divs], per_coord[j][1][divs])
-            if a is None:
-                atoms = None
-                break
-            atoms.append(a)
-        if atoms is None:
-            continue
-        ev = ErrVal(targets, [a.frac for a in atoms])
-        # improvements always sit at lcm exactly dd; earlier scans covered the rest
-        if math.lcm(*(f.denominator for f in ev.point)) != dd:
-            continue
+    for dd in dens:
+        ev = ErrVal(targets, [_nearest_multiples(t, dd)[0] for t in targets])
         if cur is None or ev.compare(cur) < 0:
             cur = ev
-            cur_hi = ev.champion().float_bounds()[1]  # outward, as in _walk_max
             yield HeightValue(dd), ev
+            if ev.champion().exact == 0:
+                return  # nothing beats 0, and every multiple of dd repeats x
 
 
 def record_csv_rows(chain: Sequence[ApproxRecord]) -> List[Tuple]:

@@ -79,17 +79,14 @@ def _quotient(rec: ApproxRecord) -> Optional[Interval]:
     return Interval(num_lo / den.upper, num_hi / den.lower)
 
 
-def _reduce(entries: Sequence[TraceEntry], warmup: int, reducer: str) -> Interval:
-    if reducer not in _REDUCERS:
-        raise ValueError(f"unknown reducer {reducer!r}")
+def _tail(entries: Sequence[TraceEntry], warmup: int) -> List[TraceEntry]:
+    """Entries past the warm-up height; an estimate needs at least 3."""
     tail = [e for e in entries if e.height >= HeightValue(warmup)]
     if len(tail) < 3:
         raise InsufficientDataError(
             f"{len(tail)} usable records past height {warmup}, need at least 3"
         )
-    if reducer == "last":
-        return tail[-1].value
-    return max((e.value for e in tail), key=lambda iv: iv.lower)
+    return tail
 
 
 def _entries_for(chain: Sequence[ApproxRecord]) -> Tuple[TraceEntry, ...]:
@@ -118,6 +115,8 @@ def omega_estimate(
     its exponent is taken as the max over per-coordinate estimates instead of
     a joint record sweep.
     """
+    if reducer not in _REDUCERS:
+        raise ValueError(f"unknown reducer {reducer!r}")
     x = tuple(x)
     if kind is HeightKind.MIN and len(x) > 1:
         traces = [
@@ -132,7 +131,12 @@ def omega_estimate(
         kind_eff = kind
     chain = records(x, kind_eff, height_cap, enum_cap=enum_cap)
     entries = _entries_for(chain)
-    return ExponentTrace(kind, height_cap, entries, _reduce(entries, warmup, reducer))
+    tail = _tail(entries, warmup)
+    if reducer == "last":
+        est = tail[-1].value
+    else:
+        est = max((e.value for e in tail), key=lambda iv: iv.lower)
+    return ExponentTrace(kind, height_cap, entries, est)
 
 
 def constant_estimate(
@@ -150,6 +154,8 @@ def constant_estimate(
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
+    if reducer not in ("running_min", "last"):
+        raise ValueError(f"unknown reducer {reducer!r}")
     chain = records(tuple(x), kind, height_cap, enum_cap=enum_cap)
     entries = []
     for rec in chain:
@@ -163,13 +169,7 @@ def constant_estimate(
             )
         )
     entries = tuple(entries)
-    if reducer not in ("running_min", "last"):
-        raise ValueError(f"unknown reducer {reducer!r}")
-    tail = [e for e in entries if e.height >= HeightValue(warmup)]
-    if len(tail) < 3:
-        raise InsufficientDataError(
-            f"{len(tail)} usable records past height {warmup}, need at least 3"
-        )
+    tail = _tail(entries, warmup)
     if reducer == "last":
         est = tail[-1].value
     else:

@@ -38,6 +38,8 @@ def iroot(n: int, k: int) -> int:
         raise ValueError("k must be >= 1")
     if k == 1 or n < 2:
         return n
+    if k >= n.bit_length():  # n < 2**k
+        return 1
     x = 1 << ((n.bit_length() + k - 1) // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
@@ -94,7 +96,14 @@ class HeightValue:
         if not isinstance(other, HeightValue):
             return NotImplemented
         # base**(1/root) < other.base**(1/other.root)
-        # <=> base**other.root < other.base**root
+        # <=> base**other.root < other.base**root; a b-bit base gives
+        # 2**((b-1)*other.root) <= base**other.root < 2**(b*other.root), and
+        # only overlapping ranges need the cross powers
+        b, ob = self.base.bit_length(), other.base.bit_length()
+        if b * other.root <= (ob - 1) * self.root:
+            return True
+        if (b - 1) * other.root >= ob * self.root:
+            return False
         return self.base ** other.root < other.base ** self.root
 
     def __str__(self) -> str:

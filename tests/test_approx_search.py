@@ -10,8 +10,11 @@ from heightlab.approx_search import (
     Budget,
     ErrVal,
     _BestTable,
+    _cmp_atoms,
     _coord_float_bounds,
+    _coord_options,
     _filter_bounds,
+    _lcm_bounds,
     _tuple_best,
     brute_force_best,
     fast_best,
@@ -292,15 +295,105 @@ def test_frontier_chain_matches_tuple_enumeration(d):
         (Fraction(2, 7), Fraction(3, 7)),
         (Fraction(1, 3), Fraction(1, 3), Fraction(2, 5)),
         (Fraction(1, 4), Fraction(3, 4)),
+        (Fraction(1, 2), Fraction(1, 4)),
+        (Fraction(3, 10), Fraction(1, 6)),
+        (Fraction(1, 2), Fraction(0), Fraction(5, 14)),
+        (Fraction(3, 4), Fraction(3, 7)),
+        (Fraction(5, 6), Fraction(1, 4)),
+        (Fraction(9, 10), Fraction(5, 8), Fraction(3, 4)),
     ],
 )
-@pytest.mark.parametrize("kind", PROD_KINDS)
+@pytest.mark.parametrize("kind", PROD_KINDS + [HeightKind.LCM])
 def test_fast_prod_matches_brute_force_on_tied_rationals(coords, kind):
-    # tied coordinates advance together, and an exact hit ends the walk
+    # tied coordinates advance together, and an exact hit ends the walk; under
+    # lcm, even denominators put D*x_i on half-integers where both neighbours tie
     x = tuple(RationalTarget(f) for f in coords)
-    for bound in range(1, 16 if kind is HeightKind.PROD_ROOT else 40):
+    top = {
+        HeightKind.PROD: 40,
+        HeightKind.PROD_ROOT: 16,
+        HeightKind.LCM: 41 if len(coords) == 2 else 21,
+    }[kind]
+    for bound in range(1, top):
         b = Budget(kind, HeightValue(bound))
         assert fast_best(x, b) == brute_force_best(x, b)
+
+
+def _divisor_walk_records(targets, cap):
+    """The lcm record sweep that searched every divisor of each D <= cap."""
+    divisors = [[] for _ in range(cap + 1)]
+    for q in range(1, cap + 1):
+        for mult in range(q, cap + 1, q):
+            divisors[mult].append(q)
+    xl, xh = _coord_float_bounds(targets)
+    qs = np.arange(1, cap + 1, dtype=np.int64)
+    per_coord = [_filter_bounds(qs, lo, hi) for lo, hi in zip(xl, xh)]
+    chain, cur, cur_hi = [], None, math.inf
+    for dd in range(1, cap + 1):
+        divs = np.array(divisors[dd]) - 1
+        if max(float(lo[divs].min()) for lo, _ in per_coord) >= cur_hi:
+            continue
+        point = []
+        for t, (lo, hi) in zip(targets, per_coord):
+            best = None
+            for oi in np.nonzero(lo[divs] <= hi[divs].min())[0]:
+                for _, atom in _coord_options(t, divisors[dd][oi]):
+                    if best is None or _cmp_atoms(atom, best) < 0:
+                        best = atom
+            point.append(best.frac)
+        ev = ErrVal(targets, point)
+        if math.lcm(*(f.denominator for f in ev.point)) != dd:
+            continue
+        if cur is None or ev.compare(cur) < 0:
+            cur = ev
+            cur_hi = ev.champion().float_bounds()[1]
+            chain.append(ApproxRecord(ev.point, ev.certified_interval(), HeightValue(dd)))
+    return chain
+
+
+@pytest.mark.parametrize("cap", [50, 3000])
+@pytest.mark.parametrize("d", [2, 3])
+def test_lcm_chain_matches_divisor_walk(d, cap):
+    for seed in range(40):
+        x = sample_uniform(seed, d)
+        assert records(x, HeightKind.LCM, HeightValue(cap)) == _divisor_walk_records(x, cap)
+
+
+def test_lcm_scan_reaches_a_million_and_counts_against_the_cap():
+    x = sample_uniform(3, 2)
+    chain = records(x, HeightKind.LCM, HeightValue(10 ** 6))
+    assert chain[-1].height <= HeightValue(10 ** 6)
+    with pytest.raises(CapExceededError):
+        records(x, HeightKind.LCM, HeightValue(10 ** 6), enum_cap=10 ** 6 - 1)
+
+
+TINY = Fraction(1, 2 ** 70)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        # binade edges; 0.51 ulp below 2^-k, x rounds down to a float while
+        # fl(p/D) just above 2^-k rounds up by up to an ulp of x: without the
+        # absolute slack the bounds miss the error at D = 1951 for these k
+        *[(Fraction(1, 2 ** k) - TINY, Fraction(1, 2 ** k) + TINY) for k in (1, 2, 5, 11, 30)],
+        *[(Fraction(1, 2 ** k) - Fraction(51, 100 * 2 ** (k + 53)),) for k in (2, 3, 4, 5)],
+        # D*x_i near an integer
+        (Fraction(1, 3) + TINY, Fraction(2, 7) - TINY),
+        (Fraction(1999, 2000) - TINY, Fraction(613, 1999) + TINY, Fraction(1, 1997) - TINY),
+        # D*x_i an exact half-integer
+        (Fraction(3, 10), Fraction(1, 6)),
+        (Fraction(1, 2), Fraction(5, 14), Fraction(1997, 3998)),
+        # 0
+        (Fraction(0),),
+        (Fraction(0), Fraction(1, 2 ** 40)),
+    ],
+)
+def test_lcm_scan_bounds_bracket_exact_errors(coords):
+    ds = np.arange(1, 2001, dtype=np.int64)
+    lo, hi = _lcm_bounds(tuple(RationalTarget(f) for f in coords), ds)
+    for D, l, h in zip(ds.tolist(), lo, hi):
+        exact = max(abs(x - Fraction(round(D * x), D)) for x in coords)
+        assert Fraction(l) <= exact <= Fraction(h), (D, exact, l, h)
 
 
 def test_fast_prod_tie_sweep_stays_within_the_frontier_tuple():

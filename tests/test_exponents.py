@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from heightlab import exponents
 from heightlab.cf_engine import expand
 from heightlab.errors import InsufficientDataError
 from heightlab.exponents import (
@@ -101,10 +102,21 @@ def test_too_few_records_past_warmup():
         omega_estimate((golden_target(),), HeightKind.MAX, HeightValue(100))
 
 
-def test_reducer_validation():
+def test_reducer_validation(monkeypatch):
+    # the reducer is checked before any record sweep runs
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("records reached")
+
+    monkeypatch.setattr(exponents, "records", no_sweep)
     with pytest.raises(ValueError):
         omega_estimate(
             (golden_target(),), HeightKind.MAX, HeightValue(10 ** 4), reducer="mean"
+        )
+    with pytest.raises(ValueError):
+        omega_estimate(sample_uniform(3, 2), HeightKind.LCM, HeightValue(10 ** 5), reducer="bogus")
+    with pytest.raises(ValueError):
+        constant_estimate(
+            (golden_target(),), HeightKind.MAX, Fraction(2), HeightValue(10 ** 4), reducer="mean"
         )
 
 

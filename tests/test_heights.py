@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -95,6 +96,19 @@ def test_cross_power_ordering():
     assert HeightValue(10, 2) > HeightValue(3)
     vals = [HeightValue(7), HeightValue(45, 2), HeightValue(300, 3), HeightValue(6)]
     assert sorted(vals) == sorted(vals, key=float)
+    rng = random.Random(2017)
+    for _ in range(2000):
+        a = HeightValue(rng.randint(1, 300), rng.randint(1, 9))
+        b = HeightValue(rng.randint(1, 300), rng.randint(1, 9))
+        assert (a < b) == (a.base ** b.root < b.base ** a.root)
+
+
+def test_comparison_and_iroot_skip_huge_powers():
+    start = time.perf_counter()
+    assert HeightValue(2, 10 ** 7) < HeightValue(3)
+    assert not HeightValue(3) < HeightValue(2, 10 ** 7)
+    assert iroot(2, 3 * 10 ** 7) == 1
+    assert time.perf_counter() - start < 0.1
 
 
 def test_height_value_validation():
