@@ -31,7 +31,7 @@ import numpy as np
 from .cf_engine import ConvergentCursor
 from .errors import CapExceededError, PrecisionExhaustedError, UnboundedSearchError
 from .heights import HeightKind, HeightValue, height, iroot
-from .numerics import Interval, RealTarget, refine
+from .numerics import Interval, RealTarget, precisions, refine
 
 DEFAULT_ENUM_CAP = 10 ** 7
 _CHUNK = 500_000
@@ -78,14 +78,7 @@ class _Atom:
     def interval(self, bits: int) -> Interval:
         if self.exact is not None:
             return Interval(self.exact, self.exact)
-        e = refine(self.target, min(bits, self.target.budget))
-        lo = e.lower - self.frac
-        hi = e.upper - self.frac
-        if lo >= 0:
-            return Interval(lo, hi)
-        if hi <= 0:
-            return Interval(-hi, -lo)
-        return Interval(Fraction(0), max(-lo, hi))
+        return refine(self.target, min(bits, self.target.budget)).distance(self.frac)
 
     def float_bounds(self, bits: int = 192) -> Tuple[float, float]:
         iv = self.interval(bits)
@@ -108,34 +101,27 @@ def _cmp_atoms(u: _Atom, v: _Atom) -> int:
         u_low = u.frac < v.frac
         m = (u.frac + v.frac) / 2
         target = u.target
-        bits = 64
-        while True:
+        for bits in precisions(64, target.budget):
             e = refine(target, bits)
             if e.upper < m:
                 return -1 if u_low else 1
             if e.lower > m:
                 return 1 if u_low else -1
-            if bits >= target.budget:
-                raise PrecisionExhaustedError(
-                    f"cannot separate errors of {u.frac} and {v.frac} against {target.key}"
-                )
-            bits = min(bits * 2, target.budget)
+        raise PrecisionExhaustedError(
+            f"cannot separate errors of {u.frac} and {v.frac} against {target.key}"
+        )
     # distinct underlying reals: refinement race
-    cap = max(u.budget, v.budget)
-    bits = 128
-    while True:
+    for bits in precisions(128, max(u.budget, v.budget)):
         iu = u.interval(bits)
         iv = v.interval(bits)
         if iu.upper < iv.lower:
             return -1
         if iv.upper < iu.lower:
             return 1
-        if bits >= cap:
-            raise PrecisionExhaustedError(
-                "refinement race undecided between "
-                f"|{u.target.key} - {u.frac}| and |{v.target.key} - {v.frac}|"
-            )
-        bits = min(bits * 2, cap)
+    raise PrecisionExhaustedError(
+        "refinement race undecided between "
+        f"|{u.target.key} - {u.frac}| and |{v.target.key} - {v.frac}|"
+    )
 
 
 class ErrVal:
@@ -174,20 +160,17 @@ class ErrVal:
 
     def certified_interval(self) -> Interval:
         budget = max((a.budget for a in self.atoms), default=0)
-        bits = 192
-        while True:
+        for bits in precisions(192, budget):
             iv = self.interval(bits)
             if iv.lower == iv.upper:
                 return iv
             if iv.lower > 0 and iv.width <= iv.lower / (1 << _REL_WIDTH_BITS):
                 return iv
-            if bits >= budget:
-                if iv.lower > 0:
-                    return iv
-                raise PrecisionExhaustedError(
-                    f"error interval at {self.point} still touches 0 at {budget} bits"
-                )
-            bits = min(bits * 2, budget)
+        if iv.lower > 0:
+            return iv  # the budget ran out: the last interval, bounded away from 0
+        raise PrecisionExhaustedError(
+            f"error interval at {self.point} still touches 0 at {budget} bits"
+        )
 
 
 def _neighbours(target: RealTarget, q: int) -> Tuple[int, int]:
@@ -203,15 +186,12 @@ def _neighbours(target: RealTarget, q: int) -> Tuple[int, int]:
             return t.numerator - 1, t.numerator
         f = t.numerator // t.denominator
         return f, f + 1
-    bits = 64
-    while True:
+    for bits in precisions(64, target.budget):
         e = refine(target, bits)
         flo = math.floor(e.lower * q)
         if flo == math.floor(e.upper * q):
             return flo, flo + 1
-        if bits >= target.budget:
-            raise PrecisionExhaustedError(f"cannot certify floor({q} * {target.key})")
-        bits = min(bits * 2, target.budget)
+    raise PrecisionExhaustedError(f"cannot certify floor({q} * {target.key})")
 
 
 def _nearest_ps(target: RealTarget, q: int) -> List[int]:
@@ -397,20 +377,31 @@ def _coord_float_bounds(targets: Sequence[RealTarget], bits: int = 192):
 
 
 def _filter_bounds(qcol: np.ndarray, x_lo: float, x_hi: float):
-    """Outer float bounds on the best reduced-candidate error at each den."""
+    """Outer float bounds on the best reduced-candidate error at each den.
+
+    The candidates are p = f, f+1, f+2 with f = floor(fl(q*x_lo)).  Rounding
+    p/q to a float is an absolute error of up to 2u*|p/q|, beyond the relative
+    _SLOP at small errors, so the bounds carry the slack 2^-50*|p/q| that
+    ``_lcm_bounds`` carries, by the argument written there (Goldberg 1991).
+    """
     f = np.floor(qcol * x_lo).astype(np.int64)
-    ps = f[:, None] + np.arange(3, dtype=np.int64)
-    valid = np.gcd(ps, qcol[:, None]) == 1
-    a = ps / qcol[:, None].astype(np.float64)
-    dlo = a - x_hi
-    dhi = a - x_lo
-    lo = np.where(dlo > 0, dlo, np.where(dhi < 0, -dhi, 0.0))
-    hi = np.maximum(np.abs(dlo), np.abs(dhi))
-    lo = np.maximum(lo * (1.0 - _SLOP) - 1e-300, 0.0)
-    hi = hi * (1.0 + _SLOP) + 1e-300
-    lo = np.where(valid, lo, np.inf)
-    hi = np.where(valid, hi, np.inf)
-    return lo.min(axis=1), hi.min(axis=1)
+    qf = qcol.astype(np.float64)
+    lo = np.full(len(qcol), np.inf)
+    hi = np.full(len(qcol), np.inf)
+    # one candidate at a time keeps the temporaries at n, not 3n, floats
+    for p in (f, f + 1, f + 2):
+        a = p / qf
+        dlo = a - x_hi
+        dhi = a - x_lo
+        clo = np.where(dlo > 0, dlo, np.where(dhi < 0, -dhi, 0.0))
+        chi = np.maximum(np.abs(dlo), np.abs(dhi))
+        slack = np.abs(a) * 2.0 ** -50
+        clo = np.maximum(clo * (1.0 - _SLOP) - slack - 1e-300, 0.0)
+        chi = chi * (1.0 + _SLOP) + slack + 1e-300
+        valid = np.gcd(p, qcol) == 1
+        np.minimum(lo, np.where(valid, clo, np.inf), out=lo)
+        np.minimum(hi, np.where(valid, chi, np.inf), out=hi)
+    return lo, hi
 
 
 def _lcm_bounds(targets: Sequence[RealTarget], ds: np.ndarray):
@@ -443,20 +434,17 @@ def _lcm_bounds(targets: Sequence[RealTarget], ds: np.ndarray):
 
 
 def _phase1(grid: np.ndarray, targets: Sequence[RealTarget]):
-    n, d = grid.shape
-    tuple_lo = np.empty(n)
-    tuple_hi = np.empty(n)
-    xl, xh = _coord_float_bounds(targets)
-    for start in range(0, n, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n))
-        lo = np.full(sl.stop - sl.start, -np.inf)
-        hi = np.full(sl.stop - sl.start, -np.inf)
-        for j in range(d):
-            clo, chi = _filter_bounds(grid[sl, j], xl[j], xh[j])
-            lo = np.maximum(lo, clo)
-            hi = np.maximum(hi, chi)
-        tuple_lo[sl] = lo
-        tuple_hi[sl] = hi
+    """Outer float bounds on each grid row's error.  A coordinate's bound
+    depends only on its denominator, so it is computed once per q and
+    gathered by column."""
+    qs = np.arange(1, int(grid.max()) + 1, dtype=np.int64)
+    tuple_lo = np.full(len(grid), -np.inf)
+    tuple_hi = np.full(len(grid), -np.inf)
+    for j, (x_lo, x_hi) in enumerate(zip(*_coord_float_bounds(targets))):
+        lo, hi = _filter_bounds(qs, x_lo, x_hi)
+        col = grid[:, j] - 1
+        np.maximum(tuple_lo, lo[col], out=tuple_lo)
+        np.maximum(tuple_hi, hi[col], out=tuple_hi)
     return tuple_lo, tuple_hi
 
 
@@ -881,19 +869,16 @@ def _err_beats_power(atom: _Atom, base: int, tau: Fraction) -> bool:
     a, b = tau.numerator, tau.denominator
     if atom.exact is not None:
         return atom.exact ** b * base ** a < 1
-    bits = 64
     target = atom.target
-    while True:
+    for bits in precisions(64, target.budget):
         iv = atom.interval(bits)
         if iv.upper ** b * base ** a < 1:
             return True
         if iv.lower ** b * base ** a >= 1:
             return False
-        if bits >= target.budget:
-            raise PrecisionExhaustedError(
-                f"cannot decide |{target.key} - {atom.frac}| vs {base}^(-{tau})"
-            )
-        bits = min(bits * 2, target.budget)
+    raise PrecisionExhaustedError(
+        f"cannot decide |{target.key} - {atom.frac}| vs {base}^(-{tau})"
+    )
 
 
 def _window_solutions(target: RealTarget, q: int, tau: Fraction) -> List[Fraction]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import PrecisionExhaustedError
-from .numerics import CFTarget, Interval, RealTarget, refine
+from .numerics import CFTarget, Interval, RealTarget, precisions, refine
 
 STATUS_COMPLETE = "complete"
 STATUS_TERMINATED = "terminated"
@@ -117,8 +117,7 @@ class ConvergentCursor:
     def _certified_quotient(self) -> int:
         # tail t_n = (p_n - q_n x) / (q_{n-1} x - p_{n-1}); a_{n+1} = floor(1/t_n)
         p_prev, p, q_prev, q = self._p_prev, self._p, self._q_prev, self._q
-        bits = self._bits
-        while True:
+        for bits in precisions(self._bits, self.target.budget):
             e = refine(self.target, bits)
             num_lo = p - q * e.upper
             num_hi = p - q * e.lower
@@ -137,12 +136,10 @@ class ConvergentCursor:
                     if a_lo == a_hi and a_lo >= 1:
                         self._bits = bits
                         return a_lo
-            if bits >= self.target.budget:
-                raise PrecisionExhaustedError(
-                    f"cannot certify partial quotient a_{self._n + 1} of {self.target.key}"
-                    f" within {self.target.budget} bits"
-                )
-            bits = min(bits * 2, self.target.budget)
+        raise PrecisionExhaustedError(
+            f"cannot certify partial quotient a_{self._n + 1} of {self.target.key}"
+            f" within {self.target.budget} bits"
+        )
 
     def advance(self) -> Optional[ConvergentRow]:
         if self._done:
@@ -250,16 +247,8 @@ def gap_inequality_check(table: ConvergentTable, target: RealTarget, n: int) -> 
     strict_lower = Fraction(1, 3 * nxt.a * cur.q * cur.q)
     band_lower = Fraction(1, 2 * cur.q * nxt.q)
     band_upper = Fraction(1, cur.q * nxt.q)
-    bits = 64
-    while True:
-        e = refine(target, bits)
-        lo, hi = e.lower - value, e.upper - value
-        if lo >= 0:
-            err = Interval(lo, hi)
-        elif hi <= 0:
-            err = Interval(-hi, -lo)
-        else:
-            err = Interval(Fraction(0), max(-lo, hi))
+    for bits in precisions(64, target.budget):
+        err = refine(target, bits).distance(value)
         if (
             err.lower > strict_lower
             and err.lower >= band_lower
@@ -268,8 +257,6 @@ def gap_inequality_check(table: ConvergentTable, target: RealTarget, n: int) -> 
             return GapCertificate(
                 n, nxt.a, cur.q, nxt.q, err, strict_lower, band_lower, band_upper
             )
-        if bits >= target.budget:
-            raise PrecisionExhaustedError(
-                f"cannot certify the gap inequalities at n={n} for {target.key}"
-            )
-        bits = min(bits * 2, target.budget)
+    raise PrecisionExhaustedError(
+        f"cannot certify the gap inequalities at n={n} for {target.key}"
+    )

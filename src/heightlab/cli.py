@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .approx_search import (
     DEFAULT_ENUM_CAP,
@@ -102,32 +102,6 @@ def _fmt(prog: str) -> argparse.HelpFormatter:
     return argparse.HelpFormatter(prog, width=100)
 
 
-_CONVERTERS: Dict[str, Callable] = {
-    "target": str,
-    "height": str,
-    "kind": str,
-    "bound": str,
-    "tau": str,
-    "s": str,
-    "depth": int,
-    "seed": int,
-    "trials": int,
-    "cap": str,
-    "precision_bits": int,
-    "qmax": int,
-    "workers": int,
-    "d": int,
-    "schedule": str,
-    "levels": str,
-    "warmup": int,
-    "reducer": str,
-    "enum_cap": int,
-    "format": str,
-    "out": str,
-    "name": str,
-}
-
-
 def build_parser(prog: str = "heightlab") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
@@ -208,7 +182,24 @@ def build_parser(prog: str = "heightlab") -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _config_value(action: argparse.Action, key: str, value: str):
+    """A config value converted as the flag's own argparse action would."""
+    if action.nargs == 0:  # store_true / store_false
+        if value not in ("true", "false"):
+            raise UsageError(f"bad config value for {key!r}: expected true or false")
+        return action.const if value == "true" else action.default
+    try:
+        out = action.type(value) if action.type else value
+    except ValueError as exc:
+        raise UsageError(f"bad config value for {key!r}: {exc}")
+    if action.choices is not None and out not in action.choices:
+        raise UsageError(
+            f"bad config value for {key!r}: choose from {', '.join(map(str, action.choices))}"
+        )
+    return out
+
+
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     path = getattr(args, "config", None)
     if not path:
         return
@@ -217,6 +208,8 @@ def _apply_config(args: argparse.Namespace) -> None:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config {path!r}: {exc}")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -230,14 +223,11 @@ def _apply_config(args: argparse.Namespace) -> None:
             if getattr(args, "target", None) is None and hasattr(args, "target"):
                 args.target = [v.strip() for v in value.split(",") if v.strip()]
             continue
-        if not hasattr(args, dest):
+        action = actions.get(dest) if hasattr(args, dest) else None
+        if action is None:
             raise UsageError(f"unknown config key {key.strip()!r}")
-        if getattr(args, dest) is None:
-            conv = _CONVERTERS.get(dest, str)
-            try:
-                setattr(args, dest, conv(value))
-            except ValueError as exc:
-                raise UsageError(f"bad config value for {key.strip()!r}: {exc}")
+        if getattr(args, dest) == action.default:  # explicit flags win
+            setattr(args, dest, _config_value(action, key.strip(), value))
 
 
 def _emit(args, header: str, rows: Sequence[Sequence], json_obj) -> None:
@@ -537,7 +527,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -47,10 +47,6 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     name: str
@@ -86,7 +82,7 @@ class RunConfig:
             name=obj["name"],
             d=obj["d"],
             kind=HeightKind[obj["kind"].upper()],
-            tau=None if obj["tau"] is None else _parse_frac(obj["tau"]),
+            tau=None if obj["tau"] is None else Fraction(obj["tau"]),
             base_seed=obj["base_seed"],
             trials=obj["trials"],
             height_cap=HeightValue(*obj["height_cap"]),
@@ -187,7 +183,7 @@ def khintchine_experiment(cfg: RunConfig, workers: Optional[int] = None) -> RunR
 
 def _omega_aggregates(rows: Sequence[Dict]) -> Dict:
     values = [
-        _parse_frac(r["estimate_lo"]) for r in rows if r.get("status") == "ok"
+        Fraction(r["estimate_lo"]) for r in rows if r.get("status") == "ok"
     ]
     failed = len(rows) - len(values)
     if not values:

@@ -62,18 +62,13 @@ class ConstantTrace:
         return float(self.estimate.lower)
 
 
-def _log_height(hv: HeightValue) -> Interval:
-    ln = ln_enclosure(hv.base, bits=_LOG_BITS)
-    return Interval(ln.lower / hv.root, ln.upper / hv.root)
-
-
 def _quotient(rec: ApproxRecord) -> Optional[Interval]:
     e_lo, e_hi = rec.error.lower, rec.error.upper
     if e_lo <= 0 or e_hi >= 1:
         return None
     num_lo = -ln_enclosure(e_hi, bits=_LOG_BITS).upper
     num_hi = -ln_enclosure(e_lo, bits=_LOG_BITS).lower
-    den = _log_height(rec.height)
+    den = rec.height.log_height(_LOG_BITS)
     if den.lower <= 0:
         return None
     return Interval(num_lo / den.upper, num_hi / den.lower)

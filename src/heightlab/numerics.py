@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 from mpmath.libmp import fzero, from_int, mpf_div, mpf_exp, mpf_log
 from mpmath.libmp import round_ceiling as _CEIL, round_floor as _FLOOR
@@ -53,6 +53,15 @@ class Interval:
 
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.lower, other.lower), min(self.upper, other.upper))
+
+    def distance(self, v: Fraction) -> "Interval":
+        """The interval {|y - v| : y in self}."""
+        lo, hi = self.lower - v, self.upper - v
+        if lo >= 0:
+            return Interval(lo, hi)
+        if hi <= 0:
+            return Interval(-hi, -lo)
+        return Interval(Fraction(0), max(-lo, hi))
 
     def __str__(self) -> str:
         return f"[{self.lower}, {self.upper}]"
@@ -98,6 +107,20 @@ class RealTarget:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(key={self.key!r})"
+
+
+def precisions(bits: int, budget: int) -> Iterator[int]:
+    """Refinement schedule of a certified decision: ``bits``, then doubling,
+    clamped at ``budget``; the last value yielded is the first one >= budget.
+
+    The first value is ``bits`` even above the budget, so a target whose
+    budget is below the start precision fails in ``RealTarget.enclosure``.
+    The caller raises its own error when the schedule runs out undecided.
+    """
+    yield bits
+    while bits < budget:
+        bits = min(bits * 2, budget)
+        yield bits
 
 
 def refine(target: RealTarget, bits: int) -> Interval:

@@ -9,12 +9,14 @@ from heightlab.approx_search import (
     ApproxRecord,
     Budget,
     ErrVal,
+    _Atom,
     _BestTable,
     _cmp_atoms,
     _coord_float_bounds,
     _coord_options,
     _filter_bounds,
     _lcm_bounds,
+    _nearest_ps,
     _tuple_best,
     brute_force_best,
     fast_best,
@@ -22,9 +24,10 @@ from heightlab.approx_search import (
     records,
     solutions_count,
 )
-from heightlab.errors import CapExceededError, UnboundedSearchError
+from heightlab.errors import CapExceededError, PrecisionExhaustedError, UnboundedSearchError
 from heightlab.heights import HeightKind, HeightValue, height
 from heightlab.numerics import (
+    BitsTarget,
     RationalTarget,
     golden_target,
     liouville_target,
@@ -369,6 +372,22 @@ def test_lcm_scan_reaches_a_million_and_counts_against_the_cap():
 TINY = Fraction(1, 2 ** 70)
 
 
+def test_precision_exhaustion_messages_at_small_budgets():
+    # the two fractions are the ends of the 64-bit enclosure, so their
+    # midpoint stays inside it at the whole budget
+    t = BitsTarget(1, 0, budget=64)
+    e = t.enclosure(64)
+    a, b = _Atom(t, e.lower), _Atom(t, e.upper)
+    want = f"cannot separate errors of {e.lower} and {e.upper} against ('seed', 1, 0)"
+    with pytest.raises(PrecisionExhaustedError) as err:
+        _cmp_atoms(a, b)
+    assert str(err.value) == want
+    # a budget below the start precision fails in the enclosure request
+    with pytest.raises(PrecisionExhaustedError) as err:
+        _nearest_ps(BitsTarget(1, 0, budget=32), 7)
+    assert str(err.value) == "target ('seed', 1, 0): 64 bits requested, budget is 32"
+
+
 @pytest.mark.parametrize(
     "coords",
     [
@@ -389,11 +408,22 @@ TINY = Fraction(1, 2 ** 70)
     ],
 )
 def test_lcm_scan_bounds_bracket_exact_errors(coords):
+    targets = tuple(RationalTarget(f) for f in coords)
     ds = np.arange(1, 2001, dtype=np.int64)
-    lo, hi = _lcm_bounds(tuple(RationalTarget(f) for f in coords), ds)
+    lo, hi = _lcm_bounds(targets, ds)
     for D, l, h in zip(ds.tolist(), lo, hi):
         exact = max(abs(x - Fraction(round(D * x), D)) for x in coords)
         assert Fraction(l) <= exact <= Fraction(h), (D, exact, l, h)
+    # the oracle's prefilter brackets the best coprime candidate's error too
+    for x, x_lo, x_hi in zip(coords, *_coord_float_bounds(targets)):
+        lo, hi = _filter_bounds(ds, x_lo, x_hi)
+        for q, l, h in zip(ds.tolist(), lo, hi):
+            f = math.floor(q * Fraction(x_lo))
+            errs = [abs(x - Fraction(p, q)) for p in range(f, f + 3) if math.gcd(p, q) == 1]
+            if not errs:
+                assert l == h == math.inf, q
+                continue
+            assert Fraction(l) <= min(errs) <= Fraction(h), (q, min(errs), l, h)
 
 
 def test_fast_prod_tie_sweep_stays_within_the_frontier_tuple():

@@ -217,6 +217,28 @@ def test_config_unknown_key(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+def test_config_boolean_key_is_honoured(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("records = true\n")
+    argv = ("approx", "--target", "golden", "--target", "sqrt2", "--height", "max",
+            "--bound", "20")
+    code, out, _ = run(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    assert out == run(capsys, *argv, "--records")[1]
+    assert out.startswith("height_base,")
+
+
+@pytest.mark.parametrize("line", ["format = xml", "records = yes"])
+def test_config_bad_value_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, "approx", "--target", "golden", "--height", "max",
+                         "--bound", "5", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "bad config value" in err
+
+
 def test_out_writes_file(tmp_path, capsys):
     dest = tmp_path / "table.csv"
     code, out, _ = run(capsys, "cf", "--target", "sqrt2", "--depth", "3",

@@ -21,6 +21,7 @@ from heightlab.numerics import (
     ln_enclosure,
     parse_target,
     pow_enclosure,
+    precisions,
     reduce,
     refine,
     sample_uniform,
@@ -128,6 +129,27 @@ def test_distinct_seeds_eventually_separate():
         bits *= 2
     else:
         pytest.fail("enclosures never separated within the budget")
+
+
+def test_precision_schedule_doubles_up_to_the_budget():
+    assert list(precisions(64, 300)) == [64, 128, 256, 300]
+    # the start precision comes first even above the budget
+    assert list(precisions(192, 100)) == [192]
+    assert list(precisions(64, 64)) == [64]
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(Fraction(-3, 4), Fraction(-1, 2)), (Fraction(1, 3), Fraction(5, 7)),
+     (Fraction(-1, 8), Fraction(1, 2)), (Fraction(-1, 2), Fraction(1, 8)),
+     (Fraction(2, 9), Fraction(2, 9)), (Fraction(0), Fraction(0))],
+)
+def test_interval_distance_matches_endpoint_formula(lo, hi):
+    # intervals left of, right of, straddling and at v = 0, shifted to v = 1/5
+    for v in (Fraction(0), Fraction(1, 5)):
+        iv = Interval(lo + v, hi + v).distance(v)
+        near = Fraction(0) if lo <= 0 <= hi else min(abs(lo), abs(hi))
+        assert iv == Interval(near, max(abs(lo), abs(hi)))
 
 
 def test_budget_is_enforced():
