@@ -6,6 +6,11 @@ best-approximation tables.  Both resolve every comparison exactly: floating
 point only prefilters, and the winner set plus tie-break order come from
 interval refinement or rational arithmetic.
 
+Record chains under max, prod and prod_root, and every one-coordinate chain,
+come from one frontier walk over the per-coordinate tables, which moves the
+coordinates that tie the max-norm error; ``fast_best``'s product optimum is
+that walk's last record.
+
 Under the lcm height a point whose height divides D has coordinates in
 (1/D)Z, so its best choice at D is the nearest multiples round(D*x_i)/D; the
 lcm records and ``fast_best`` certify those points at the D that one chunked
@@ -210,71 +215,64 @@ def _nearest_multiples(target: RealTarget, q: int) -> List[Fraction]:
 # per-coordinate best-approximation table
 
 
-class _BestTable:
-    """Strictly improving best-approximation entries for one coordinate.
+def _best_entries(target: RealTarget) -> Iterator[Tuple[int, Fraction]]:
+    """Best approximations (den, frac) of one coordinate, in increasing den.
 
-    Entries (den, frac) have strictly increasing denominators and strictly
-    decreasing certified errors; every best approximation of the first kind
-    appears.  Families of intermediate fractions between consecutive
-    convergents are cut at the certified break-even index, so the classical
-    half-quotient rule is never assumed.
+    Each family of intermediate fractions (pa + k*pb)/(qa + k*qb), k <= a,
+    between consecutive convergents starts at the certified break-even index
+    k*: the smallest k beating pb/qb, so the half-quotient rule is never
+    assumed.  The 0/1 seed is a best approximation unless the first family's
+    1/1 already is one (k* = 1); the target 0 has no partial quotient, and
+    0/1 is its only entry.
     """
-
-    def __init__(self, target: RealTarget) -> None:
-        self.target = target
-        self._cursor = ConvergentCursor(target)
-        self.entries: List[Tuple[int, Fraction]] = []
-        self._done = False
-        self._fam: Optional[dict] = None
-        self._seed_decided = False
-
-    def _next_family(self) -> Optional[dict]:
-        pa, pb, qa, qb = self._cursor.state
-        row = self._cursor.advance()
+    cursor = ConvergentCursor(target)
+    seeded = False
+    while True:
+        pa, pb, qa, qb = cursor.state
+        row = cursor.advance()
         if row is None:
-            self._done = True
-            return None
-        return {"pa": pa, "qa": qa, "pb": pb, "qb": qb, "a": row.a, "k": 0}
-
-    def _kstar(self, fam: dict) -> int:
-        base = _Atom(self.target, Fraction(fam["pb"], fam["qb"]))
-        lo, hi = 1, fam["a"]
+            if not seeded:
+                yield 1, Fraction(0, 1)
+            return
+        base = _Atom(target, Fraction(pb, qb))
+        lo, hi = 1, row.a
         while lo < hi:
             mid = (lo + hi) // 2
-            m = Fraction(fam["pa"] + mid * fam["pb"], fam["qa"] + mid * fam["qb"])
-            if _cmp_atoms(_Atom(self.target, m), base) < 0:
+            m = Fraction(pa + mid * pb, qa + mid * qb)
+            if _cmp_atoms(_Atom(target, m), base) < 0:
                 hi = mid
             else:
                 lo = mid + 1
-        return lo
+        if not seeded:
+            seeded = True
+            if lo >= 2:
+                yield 1, Fraction(0, 1)
+        for k in range(lo, row.a + 1):
+            yield qa + k * qb, Fraction(pa + k * pb, qa + k * qb)
+
+
+_END = (math.inf, None)
+
+
+class _BestTable:
+    """The entries of ``_best_entries`` read so far, up to the largest cap asked.
+
+    Entries (den, frac) have strictly increasing denominators and strictly
+    decreasing certified errors; every best approximation of the first kind
+    appears.
+    """
+
+    def __init__(self, target: RealTarget) -> None:
+        self.entries: List[Tuple[int, Fraction]] = []
+        self._source = _best_entries(target)
+        self._ahead: Optional[Tuple] = None  # the first entry past the cap, once read
 
     def extend_to(self, den_cap: int) -> None:
-        while True:
-            if self._fam is None:
-                if self._done:
-                    return
-                fam = self._next_family()
-                if fam is None:
-                    # the target 0 has no partial quotient: 0/1 is its only entry
-                    if not self._seed_decided:
-                        self._seed_decided = True
-                        self.entries.append((1, Fraction(0, 1)))
-                    return
-                fam["k"] = self._kstar(fam)
-                if not self._seed_decided:
-                    self._seed_decided = True
-                    if fam["k"] >= 2:
-                        self.entries.append((1, Fraction(0, 1)))
-                self._fam = fam
-            fam = self._fam
-            while fam["k"] <= fam["a"]:
-                den = fam["qa"] + fam["k"] * fam["qb"]
-                if den > den_cap:
-                    return
-                num = fam["pa"] + fam["k"] * fam["pb"]
-                self.entries.append((den, Fraction(num, den)))
-                fam["k"] += 1
-            self._fam = None
+        if self._ahead is None:
+            self._ahead = next(self._source, _END)
+        while self._ahead[0] <= den_cap:
+            self.entries.append(self._ahead)
+            self._ahead = next(self._source, _END)
 
     def best_at(self, den_cap: int) -> Tuple[int, Fraction]:
         self.extend_to(den_cap)
@@ -641,22 +639,14 @@ def fast_best(
         if kind is HeightKind.MAX:
             opt = ErrVal(targets, [_BestTable(t).best_at(cap)[1] for t in targets])
         else:
-            opt = _prod_opt(targets, cap, enum_cap)
+            # the staircase ends at the cheapest tuple reaching the optimum
+            opt = _last_record(_frontier(targets, kind, cap, enum_cap))
         ties = _fast_ties(targets, kind, cap, opt, enum_cap)
     if not ties:
         # the optimum's own point must be in the tie set; missing it means the
         # float prefilter and the certified comparison disagree
         raise AssertionError("certified optimum lost during tie collection")
     return _finish(targets, kind, _lex_min(ties))
-
-
-def _prod_opt(targets, prod_cap: int, enum_cap: int) -> ErrVal:
-    """Best error over table denominator tuples within the product cap.
-
-    It is the error of the last record of the frontier walk: the staircase
-    ends at the cheapest tuple reaching the smallest error within the cap.
-    """
-    return _last_record(_prod_frontier(targets, prod_cap, enum_cap))
 
 
 def _lcm_opt(targets, dens: Sequence[int]) -> ErrVal:
@@ -716,18 +706,10 @@ def records(
     budget = Budget(kind, height_cap)
     d = len(targets)
     cap = _den_cap(budget, d)
-    if d == 1:
-        walk = _walk_d1(targets, cap)
-    elif kind is HeightKind.MAX:
-        walk = _walk_max(targets, cap)
-    elif kind in (HeightKind.PROD, HeightKind.PROD_ROOT):
-        root = d if kind is HeightKind.PROD_ROOT else 1
-        walk = (
-            (HeightValue(prod, root), ev)
-            for prod, ev in _prod_frontier(targets, cap, enum_cap)
-        )
-    else:
+    if kind is HeightKind.LCM and d >= 2:
         walk = _lcm_walk(targets, _lcm_scan(targets, cap, enum_cap)[0].tolist())
+    else:
+        walk = _frontier(targets, kind, cap, enum_cap)
     return [ApproxRecord(ev.point, ev.certified_interval(), hv) for hv, ev in walk]
 
 
@@ -741,71 +723,67 @@ def _last_record(walk: Iterable[Tuple[object, ErrVal]]) -> ErrVal:
     return last
 
 
-def _walk_d1(targets, cap: int) -> Iterator[Tuple[HeightValue, ErrVal]]:
-    """Records of one coordinate: its table entries up to the cap."""
-    table = _BestTable(targets[0])
-    table.extend_to(cap)
-    for den, frac in table.entries:
-        yield HeightValue(den), ErrVal(targets, (frac,))
+def _frontier(
+    targets, kind: HeightKind, cap: int, enum_cap: int
+) -> Iterator[Tuple[HeightValue, ErrVal]]:
+    """Record walk over the per-coordinate ``_BestTable``s.
 
-
-def _walk_max(targets, cap: int) -> Iterator[Tuple[HeightValue, ErrVal]]:
-    """Max-height records: improvements at the merged table denominators."""
-    tables = [_BestTable(t) for t in targets]
-    breakpoints = sorted({q for tb in tables for q in tb.dens_up_to(cap)})
-    cur: Optional[ErrVal] = None
-    cur_hi = math.inf
-    for bp in breakpoints:
-        ev = ErrVal(targets, [tb.best_at(bp)[1] for tb in tables])
-        if ev.interval(192).lower > cur_hi:
-            continue
-        if cur is None or ev.compare(cur) < 0:
-            cur = ev
-            # rounded outward, so never below the incumbent's true error; a
-            # float of the certified upper bound rounds to nearest and can sit
-            # one ulp below it, pruning an improvement within that ulp
-            cur_hi = ev.champion().float_bounds()[1]
-            yield HeightValue(bp), ev
-
-
-def _prod_frontier(targets, prod_cap: int, enum_cap: int) -> Iterator[Tuple[int, ErrVal]]:
-    """Record staircase (product, error) over table denominator tuples.
-
-    Every coordinate starts at its first ``_BestTable`` entry.  Each step
-    yields the current tuple, then moves every coordinate whose error ties
-    the max-norm error to its next entry.  The walk stops when the product
-    passes ``prod_cap`` or when a table has no entry left within the cap.
-    An exact zero error ends the walk too: it ties every coordinate, and an
-    exact hit is the last entry of its table.
+    Under prod and prod_root the cap bounds the product of the denominators
+    and the height is that product (its d-th root for prod_root).  Under max,
+    and under lcm at d = 1, the cap bounds each denominator and the height is
+    the largest one.  Every coordinate starts at its first entry, whose
+    denominator is 1.  Each step yields the current tuple, then moves every
+    coordinate whose error ties the max-norm error E to its next entry; under
+    max it then moves every coordinate to its best entry at H', the largest
+    denominator now reached.  The walk stops when the product passes the cap
+    or when a table has no entry left within the cap.  An exact zero error
+    ends the walk too: it ties every coordinate, and an exact hit is the last
+    entry of its table.  The ``enum_cap`` guard bounds the steps.
 
     A table entry is a best approximation of the first kind, so its fraction
     is the nearest reduced fraction at its denominator, and table errors
-    strictly decrease.  By induction every yielded tuple takes, in each
-    coordinate, the smallest table denominator whose error is below the
-    previous tuple's error E: coordinates below E stay put, and the tied ones
-    need their next entry.  Any tuple with error < E takes at least these
-    denominators in every coordinate, so it costs a larger product unless it
-    is this very tuple.  Hence each step is the unique cheapest tuple that
-    strictly beats its predecessor, i.e. the next record, and the walk lists
-    the (product, error) Pareto staircase of the tuples (Kung, Luccio and
+    strictly decrease.
+
+    Products: by induction every yielded tuple takes, in each coordinate, the
+    smallest table denominator whose error is below the previous tuple's
+    error E: coordinates below E stay put, and the tied ones need their next
+    entry.  Any tuple with error < E takes at least these denominators in
+    every coordinate, so it costs a larger product unless it is this very
+    tuple.  Hence each step is the unique cheapest tuple that strictly beats
+    its predecessor, i.e. the next record, and the walk lists the
+    (product, error) Pareto staircase of the tuples (Kung, Luccio and
     Preparata 1975) in O(sum of table sizes) steps.
+
+    Max: the tuple at height H takes every coordinate's best entry at H, so
+    each next entry lies above H, and H' is the largest next denominator
+    among the tied coordinates.  Below H' some tied coordinate keeps its
+    entry, so the error stays E.  At H' every tied coordinate beats E, since
+    table errors strictly decrease, and the others can only improve.  So H'
+    is the next record height (Lagarias 1982), and its point is the best
+    entry at H' in every coordinate.
     """
     tables = [_BestTable(t) for t in targets]
     for tb in tables:
-        tb.extend_to(prod_cap)
+        tb.extend_to(cap)
+    product = kind in (HeightKind.PROD, HeightKind.PROD_ROOT)
+    root = len(targets) if kind is HeightKind.PROD_ROOT else 1
     idx = [0] * len(tables)
     steps = 0
     while all(k < len(tb.entries) for k, tb in zip(idx, tables)):
-        entries = [tb.entries[k] for k, tb in zip(idx, tables)]
-        prod = math.prod(q for q, _ in entries)
-        if prod > prod_cap:
-            return
+        dens = [tb.entries[k][0] for k, tb in zip(idx, tables)]
+        if product:
+            base = math.prod(dens)
+            if base > cap:
+                return
+        else:
+            base = max(dens)
+            idx = [bisect_right(tb.entries, base, key=lambda e: e[0]) - 1 for tb in tables]
         steps += 1
         if steps > enum_cap:
             raise CapExceededError("frontier walk exceeds enumeration cap")
-        ev = ErrVal(targets, [f for _, f in entries])
+        ev = ErrVal(targets, [tb.entries[k][1] for k, tb in zip(idx, tables)])
         tied = ev.tied()
-        yield prod, ev
+        yield HeightValue(base, root), ev
         for i in tied:
             idx[i] += 1
 

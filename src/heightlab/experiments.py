@@ -36,6 +36,7 @@ FORMAT_VERSION = 1
 
 _SERIES_KINDS = (HeightKind.MAX, HeightKind.PROD_ROOT)
 _CHECKPOINTS = (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5)
+_SERIES_CHUNK = 1 << 18  # terms summed per numpy pass: 2 MB of floats
 
 # Monte Carlo acceptance bands around the almost-everywhere exponent 2.
 MEDIAN_BAND = (Fraction(37, 20), Fraction(43, 20))
@@ -262,14 +263,20 @@ def series_diagnostic(
     marks = [c for c in _CHECKPOINTS if c <= q_max]
     if marks[-1] != q_max:
         marks.append(q_max)
-    q = np.arange(1, q_max + 1, dtype=np.float64)
-    csum = np.cumsum(q ** float(exponent))
+    # the carried total heads each chunk's cumsum, so the additions run left
+    # to right as in one cumsum over all q and the partial sums are the same
     partials = []
-    for m in marks:
-        val = float(csum[m - 1])
-        if kind is HeightKind.PROD_ROOT:
-            val = val ** d
-        partials.append((m, val))
+    total = 0.0
+    for start in range(1, q_max + 1, _SERIES_CHUNK):
+        q = np.arange(start, min(start + _SERIES_CHUNK, q_max + 1), dtype=np.float64)
+        csum = np.cumsum(np.concatenate(([total], q ** float(exponent))))
+        for m in marks:
+            if start <= m < start + len(q):
+                val = float(csum[m - start + 1])
+                if kind is HeightKind.PROD_ROOT:
+                    val = val ** d
+                partials.append((m, val))
+        total = csum[-1]
     return SeriesReport(kind, d, tau, s, exponent, crit, verdict, tuple(partials))
 
 
@@ -283,25 +290,15 @@ class BoxCountReport:
     residual: float
 
 
-def _band_heights_max(level: int, tau: Fraction) -> List[int]:
-    # q in (B/2, B] with B = 2^(level/tau), checked as q^a vs 2^(level*b)
-    a, b = tau.numerator, tau.denominator
-    cap = 1 << (level * b)
-    q_hi = 1
-    while (q_hi + 1) ** a <= cap:
-        q_hi += 1
-    out = [q for q in range(1, q_hi + 1) if (2 * q) ** a > cap]
-    return out
+def _band(level: int, tau: Fraction, root: int) -> range:
+    """Heights n in (B^root / 2^root, B^root] with B = 2^(level/tau).
 
-
-def _band_products(level: int, tau: Fraction) -> List[int]:
-    # q1*q2 in (B^2/4, B^2] with B^2 = 2^(2*level/tau)
-    a, b = tau.numerator, tau.denominator
-    cap = 1 << (2 * level * b)
-    p_hi = 1
-    while (p_hi + 1) ** a <= cap:
-        p_hi += 1
-    return [p for p in range(1, p_hi + 1) if (4 * p) ** a > cap]
+    root = 1 gives the max heights q, root = 2 the products q1*q2.  With
+    tau = a/b and r = iroot(2^(root*level*b), a), n <= B^root iff n <= r, and
+    n > B^root / 2^root iff 2^root * n > r, i.e. n > r // 2^root.
+    """
+    r = iroot(1 << (root * level * tau.denominator), tau.numerator)
+    return range(r // 2 ** root + 1, r + 1)
 
 
 def _coprime_lists(n: int) -> List[int]:
@@ -362,10 +359,10 @@ def box_count_probe(
     skipped: List[int] = []
     for level in grid_levels:
         if kind is HeightKind.MAX:
-            band = _band_heights_max(level, tau)
+            band = _band(level, tau, 1)
             pts = _ball_points_max(band)
         else:
-            band = _band_products(level, tau)
+            band = _band(level, tau, 2)
             pts = _ball_points_prod(band)
         if not band:
             skipped.append(level)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from heightlab.heights import HeightKind, HeightValue, height
 from heightlab.numerics import (
     BitsTarget,
     RationalTarget,
+    e_target,
     golden_target,
     liouville_target,
     sample_uniform,
@@ -196,6 +198,7 @@ def test_prod_and_rooted_prod_share_one_chain():
 
 
 PROD_KINDS = [HeightKind.PROD, HeightKind.PROD_ROOT]
+SEARCH_KINDS = [HeightKind.MAX] + PROD_KINDS + [HeightKind.LCM]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -452,14 +455,64 @@ def test_every_walk_step_is_a_record():
     # tied coordinates advance together, so no step fails to improve and a
     # step budget of the chain length suffices, even for a repeated target
     g = golden_target()
-    for x in [(g, g), sample_uniform(9, 3)]:
-        chain = records(x, HeightKind.PROD, HeightValue(10 ** 6))
-        assert records(x, HeightKind.PROD, HeightValue(10 ** 6), enum_cap=len(chain)) == chain
+    for kind in (HeightKind.PROD, HeightKind.MAX):
+        for x in [(g, g), sample_uniform(9, 3)]:
+            chain = records(x, kind, HeightValue(10 ** 6))
+            assert records(x, kind, HeightValue(10 ** 6), enum_cap=len(chain)) == chain
+            with pytest.raises(CapExceededError):
+                records(x, kind, HeightValue(10 ** 6), enum_cap=len(chain) - 1)
 
 
 def test_record_walk_cap_guard():
     with pytest.raises(CapExceededError):
         records(sample_uniform(5, 2), HeightKind.PROD, HeightValue(10 ** 6), enum_cap=3)
+
+
+def _breakpoint_scan_records(targets, cap):
+    """The max record sweep that certified the best entries at every merged
+    table denominator, skipping a denominator by float bounds."""
+    tables = [_BestTable(t) for t in targets]
+    breakpoints = sorted({q for tb in tables for q in tb.dens_up_to(cap)})
+    chain, cur, cur_hi = [], None, math.inf
+    for bp in breakpoints:
+        ev = ErrVal(targets, [tb.best_at(bp)[1] for tb in tables])
+        if ev.interval(192).lower > cur_hi:
+            continue
+        if cur is None or ev.compare(cur) < 0:
+            cur = ev
+            cur_hi = ev.champion().float_bounds()[1]
+            chain.append(ApproxRecord(ev.point, ev.certified_interval(), HeightValue(bp)))
+    return chain
+
+
+@pytest.mark.parametrize("cap", [50, 3000, 10 ** 6])
+@pytest.mark.parametrize("d", [2, 3])
+def test_max_chain_matches_breakpoint_scan(d, cap):
+    for seed in range(40):
+        x = sample_uniform(seed, d)
+        assert records(x, HeightKind.MAX, HeightValue(cap)) == _breakpoint_scan_records(x, cap)
+
+
+def test_max_chain_of_a_repeated_target():
+    # both coordinates tie at every step and move together
+    g = golden_target()
+    chain = records((g, g), HeightKind.MAX, HeightValue(10 ** 6))
+    assert chain == _breakpoint_scan_records((g, g), 10 ** 6)
+    assert [r.height.base for r in chain[:8]] == [1, 2, 3, 5, 8, 13, 21, 34]
+    assert all(r.point[0] == r.point[1] for r in chain)
+
+
+@pytest.mark.parametrize("kind", SEARCH_KINDS)
+def test_one_coordinate_records_are_the_table_entries(kind):
+    named = [golden_target(), e_target(), liouville_target()]
+    for t in named + [sample_uniform(seed, 1)[0] for seed in range(5)]:
+        tb = _BestTable(t)
+        tb.extend_to(10 ** 6)
+        want = [
+            ApproxRecord((f,), ErrVal((t,), (f,)).certified_interval(), HeightValue(q))
+            for q, f in tb.entries
+        ]
+        assert records((t,), kind, HeightValue(10 ** 6)) == want
 
 
 def test_records_reject_rational_coordinates():
@@ -496,6 +549,52 @@ def test_min_kind_witness_counts():
         assert solutions_count(a, HeightKind.MIN, tau, HeightValue(cap)) == 4
     b = (golden_target(), sqrt2_target())
     assert solutions_count(b, HeightKind.MIN, tau, HeightValue(10 ** 3)) == 4
+
+
+def _fraction_count(coords, kind, tau, cap):
+    """Reduced points of height <= cap with max error < height**(-tau),
+    counted over every denominator tuple in Fraction arithmetic."""
+    root = len(coords) if kind is HeightKind.PROD_ROOT else 1
+    top = cap ** root  # height <= cap iff its base <= cap**root
+    a, b = tau.numerator, tau.denominator
+    count = 0
+    for qs in itertools.product(range(1, top + 1), repeat=len(coords)):
+        base = {
+            HeightKind.MAX: max(qs),
+            HeightKind.PROD: math.prod(qs),
+            HeightKind.PROD_ROOT: math.prod(qs),
+            HeightKind.LCM: math.lcm(*qs),
+        }[kind]
+        if base > top:
+            continue
+        # max_i |x_i - p_i/q_i| < base**(-tau/root) iff every coordinate is;
+        # the bound is <= 1, so p_i/q_i lies within 1 of x_i
+        per_coord = 1
+        for x, q in zip(coords, qs):
+            per_coord *= sum(
+                1
+                for p in range(math.floor((x - 1) * q), math.ceil((x + 1) * q) + 1)
+                if math.gcd(p, q) == 1 and abs(x - Fraction(p, q)) ** (b * root) * base ** a < 1
+            )
+        count += per_coord
+    return count
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        (Fraction(1, 3), Fraction(2, 7)),
+        (Fraction(5, 13), Fraction(7, 19)),
+        (Fraction(3, 11) + Fraction(1, 10 ** 6), Fraction(1, 2) - Fraction(1, 10 ** 5)),
+    ],
+)
+@pytest.mark.parametrize("kind", SEARCH_KINDS)
+def test_solution_count_matches_fraction_count(coords, kind):
+    x = tuple(RationalTarget(f) for f in coords)
+    cap = 5 if kind is HeightKind.PROD_ROOT else 12
+    for tau in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)):
+        want = _fraction_count(coords, kind, tau, cap)
+        assert solutions_count(x, kind, tau, HeightValue(cap)) == want, tau
 
 
 def test_count_rejects_nonpositive_tau():

@@ -1,11 +1,14 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from heightlab import experiments
 from heightlab.experiments import (
     BoxCountReport,
     RunConfig,
+    _band,
     _theta_radius,
     box_count_probe,
     critical_exponent,
@@ -58,6 +61,32 @@ def test_series_partial_sums_increase():
     sums = [v for _, v in r.partials]
     assert sums == sorted(sums)
     assert [m for m, _ in r.partials] == [100, 1000, 10000, 100000]
+
+
+def _full_cumsum_partials(kind, d, exponent, marks):
+    """The partial sums of one cumsum over every q <= the last mark."""
+    q = np.arange(1, marks[-1] + 1, dtype=np.float64)
+    csum = np.cumsum(q ** float(exponent))
+    return [(m, float(csum[m - 1]) ** (d if kind is HeightKind.PROD_ROOT else 1)) for m in marks]
+
+
+@pytest.mark.parametrize("chunk", [None, 997])
+@pytest.mark.parametrize(
+    "kind, d, tau, s",
+    [
+        (HeightKind.MAX, 2, Fraction(3), Fraction(1, 2)),
+        (HeightKind.PROD_ROOT, 3, Fraction(5, 2), Fraction(7, 3)),
+    ],
+)
+def test_series_chunks_match_one_cumsum(monkeypatch, chunk, kind, d, tau, s):
+    # chunk boundaries fall between the checkpoints, and q_max is no multiple
+    # of the chunk, so the carried total crosses several chunks
+    if chunk is not None:
+        monkeypatch.setattr(experiments, "_SERIES_CHUNK", chunk)
+    q_max = 2 * experiments._SERIES_CHUNK + 12345 if chunk is None else 10 ** 5 + 3
+    r = series_diagnostic(kind, d, tau, s, q_max=q_max)
+    marks = [10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5, q_max]
+    assert list(r.partials) == _full_cumsum_partials(kind, d, r.term_exponent, marks)
 
 
 def test_series_validation():
@@ -155,6 +184,25 @@ def test_box_probe_frozen_counts_and_slope():
 )
 def test_theta_radius_exact_values(theta, tau, root, want):
     assert _theta_radius(theta, tau, root) == want
+
+
+def _band_by_loop(level, tau, root):
+    """Heights in (B^root / 2^root, B^root] by counting up to the top one."""
+    a, b = tau.numerator, tau.denominator
+    cap = 1 << (root * level * b)
+    top = 1
+    while (top + 1) ** a <= cap:
+        top += 1
+    return [n for n in range(1, top + 1) if (2 ** root * n) ** a > cap]
+
+
+def test_band_matches_counting_loop():
+    taus = {Fraction(a, b) for b in range(1, 6) for a in range(2 * b, 8 * b + 1)}
+    for tau in taus:
+        for level in range(17):
+            for root in (1, 2):
+                want = _band_by_loop(level, tau, root)
+                assert list(_band(level, tau, root)) == want, (tau, level, root)
 
 
 def test_box_probe_runs_at_large_tau_numerators():
