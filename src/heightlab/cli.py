@@ -86,6 +86,14 @@ def _enum_cap(args) -> int:
     return args.enum_cap
 
 
+def _precision_bits(args) -> int:
+    if args.precision_bits is None:
+        return DEFAULT_PRECISION_BUDGET
+    if args.precision_bits < 1:
+        raise UsageError(f"--precision-bits must be >= 1, got {args.precision_bits}")
+    return args.precision_bits
+
+
 def _schedule(text: str) -> List[HeightValue]:
     return [_bound(part) for part in text.split(",") if part]
 
@@ -261,7 +269,7 @@ def _iv_str(f: Fraction) -> str:
 
 
 def _cmd_cf(args) -> int:
-    budget = args.precision_bits or DEFAULT_PRECISION_BUDGET
+    budget = _precision_bits(args)
     depth = args.depth if args.depth is not None else 10
     if depth < 1:
         raise UsageError("need --depth >= 1")
@@ -311,7 +319,7 @@ def _record_json(rec) -> Dict:
 
 
 def _cmd_approx(args) -> int:
-    budget = args.precision_bits or DEFAULT_PRECISION_BUDGET
+    budget = _precision_bits(args)
     if args.height is None:
         raise UsageError("--height is required")
     kind = _kind(args.height)
@@ -354,7 +362,7 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_exponent(args) -> int:
-    budget = args.precision_bits or DEFAULT_PRECISION_BUDGET
+    budget = _precision_bits(args)
     if args.height is None:
         raise UsageError("--height is required")
     kind = _kind(args.height)
@@ -409,7 +417,7 @@ def _cmd_experiment(args) -> int:
             base_seed=args.seed if args.seed is not None else 0,
             trials=args.trials if args.trials is not None else 20,
             height_cap=_bound(args.cap) if args.cap is not None else HeightValue(10 ** 6),
-            precision_budget=args.precision_bits or DEFAULT_PRECISION_BUDGET,
+            precision_budget=_precision_bits(args),
             enum_cap=_enum_cap(args),
             out=args.out,
         )

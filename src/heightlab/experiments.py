@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import median
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -125,14 +125,13 @@ class RunResult:
                 )
 
 
-def _omega_trial(args) -> Dict:
-    seed, d, kind_name, cap, budget, enum_cap, warmup = args
-    x = sample_uniform(seed, d, budget=budget)
-    kind = HeightKind[kind_name]
+def _omega_trial(job: Tuple[RunConfig, int]) -> Dict:
+    cfg, seed = job
+    x = sample_uniform(seed, cfg.d, budget=cfg.precision_budget)
     row: Dict = {"seed": seed}
     try:
         tr = omega_estimate(
-            x, kind, HeightValue(*cap), warmup=warmup, enum_cap=enum_cap
+            x, cfg.kind, cfg.height_cap, warmup=cfg.warmup, enum_cap=cfg.enum_cap
         )
     except (InsufficientDataError, CapExceededError) as exc:
         row["status"] = type(exc).__name__
@@ -152,18 +151,7 @@ def khintchine_experiment(cfg: RunConfig, workers: Optional[int] = None) -> RunR
     if cfg.kind not in (HeightKind.MAX, HeightKind.PROD_ROOT, HeightKind.MIN):
         raise ValueError(f"unsupported kind {cfg.kind.name.lower()}")
     started = time.perf_counter()
-    jobs = [
-        (
-            cfg.base_seed + i,
-            cfg.d,
-            cfg.kind.name,
-            (cfg.height_cap.base, cfg.height_cap.root),
-            cfg.precision_budget,
-            cfg.enum_cap,
-            cfg.warmup,
-        )
-        for i in range(cfg.trials)
-    ]
+    jobs = [(cfg, cfg.base_seed + i) for i in range(cfg.trials)]
     if workers is None:
         workers = min(8, os.cpu_count() or 1)
     if workers <= 1:
@@ -301,40 +289,36 @@ def _band(level: int, tau: Fraction, root: int) -> range:
     return range(r // 2 ** root + 1, r + 1)
 
 
-def _coprime_lists(n: int) -> List[int]:
-    return [p for p in range(n) if math.gcd(p, n) == 1] or [0]
+def _den_pairs(kind: HeightKind, n: int) -> Iterator[Tuple[int, int]]:
+    """Denominator pairs (q1, q2) of height n: max(q1, q2) = n under max,
+    q1 * q2 = n under the rooted product."""
+    if kind is HeightKind.MAX:
+        yield n, n
+        for t in range(1, n):
+            yield n, t
+            yield t, n
+    else:
+        for q1 in range(1, n + 1):
+            if n % q1 == 0:
+                yield q1, n // q1
 
 
-def _ball_points_max(q_values: Sequence[int]) -> List[Tuple[Fraction, Fraction, int]]:
-    pts = []
-    for q in q_values:
-        for q1, q2 in {(q, t) for t in range(1, q + 1)} | {(t, q) for t in range(1, q + 1)}:
-            for p1 in _coprime_lists(q1):
-                for p2 in _coprime_lists(q2):
-                    pts.append((Fraction(p1, q1), Fraction(p2, q2), q))
-    return pts
+def _cells(q: int, k: int, level: int) -> Set[int]:
+    """Indices of the level-``level`` dyadic cells met by the balls
+    [p/q - 1/k, p/q + 1/k] with 0 <= p < q and gcd(p, q) = 1.
 
-
-def _ball_points_prod(products: Sequence[int]) -> List[Tuple[Fraction, Fraction, int]]:
-    pts = []
-    for prod in products:
-        for q1 in range(1, prod + 1):
-            if prod % q1:
-                continue
-            q2 = prod // q1
-            for p1 in _coprime_lists(q1):
-                for p2 in _coprime_lists(q2):
-                    pts.append((Fraction(p1, q1), Fraction(p2, q2), prod))
-    return pts
-
-
-def _cell_span(center: Fraction, radius: Fraction, level: int) -> range:
-    scale = 1 << level
-    lo = (center - radius) * scale
-    hi = (center + radius) * scale
-    lo_i = max(0, lo.numerator // lo.denominator)
-    hi_i = min(scale - 1, hi.numerator // hi.denominator)
-    return range(lo_i, hi_i + 1)
+    The ball's ends scaled by 2^level are (p*k -+ q) * 2^level / (q*k), so
+    their floors, clipped to [0, 2^level - 1], bound the cells it meets.
+    """
+    top = (1 << level) - 1
+    den = q * k
+    out: Set[int] = set()
+    for p in range(q):
+        if math.gcd(p, q) == 1:
+            lo = max(0, ((p * k - q) << level) // den)
+            hi = min(top, ((p * k + q) << level) // den)
+            out.update(range(lo, hi + 1))
+    return out
 
 
 def box_count_probe(
@@ -346,6 +330,12 @@ def box_count_probe(
     """Count dyadic cells touched by the approximation balls whose height
     matches the cell scale, then fit log(count) against log(1/delta).
 
+    The balls are centred at (p1/q1, p2/q2) in lowest terms with radius
+    1/k, k = ``_theta_radius(n, tau, root).denominator`` at height n.  Radii
+    and cells are exact integer arithmetic; only the fit uses floats.  The
+    cells met by the balls of one denominator pair are the product of the
+    cells met in each coordinate.
+
     Exploratory: finite scales only bracket the limsup set loosely.
     """
     if d != 2:
@@ -355,29 +345,20 @@ def box_count_probe(
     tau = Fraction(tau)
     if not 2 <= tau <= 8:
         raise ValueError("need 2 <= tau <= 8")
+    root = 1 if kind is HeightKind.MAX else 2
     counts: List[Tuple[int, int]] = []
     skipped: List[int] = []
     for level in grid_levels:
-        if kind is HeightKind.MAX:
-            band = _band(level, tau, 1)
-            pts = _ball_points_max(band)
-        else:
-            band = _band(level, tau, 2)
-            pts = _ball_points_prod(band)
+        band = _band(level, tau, root)
         if not band:
             skipped.append(level)
             continue
         cells = set()
-        scale = 1 << level
-        for c1, c2, theta in pts:
-            if kind is HeightKind.MAX:
-                radius = _theta_radius(theta, tau, 1)
-            else:
-                radius = _theta_radius(theta, tau, 2)
-            for ix in _cell_span(c1, radius, level):
-                base = ix * scale
-                for iy in _cell_span(c2, radius, level):
-                    cells.add(base + iy)
+        for n in band:
+            k = _theta_radius(n, tau, root).denominator
+            for q1, q2 in _den_pairs(kind, n):
+                xs, ys = _cells(q1, k, level), _cells(q2, k, level)
+                cells.update((ix << level) + iy for ix in xs for iy in ys)
         counts.append((level, len(cells)))
     if len(counts) < 3:
         raise ValueError("fit needs at least 3 non-empty levels")

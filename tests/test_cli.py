@@ -124,17 +124,26 @@ def test_approx_cap_exceeded(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("approx", "--target", "golden", "--height", "max", "--bound", "8"),
-        ("exponent", "--target", "golden", "--height", "max", "--cap", "10000"),
+        ("approx", "--target", "golden", "--height", "max", "--bound", "8", "--enum-cap"),
+        ("exponent", "--target", "golden", "--height", "max", "--cap", "10000",
+         "--enum-cap"),
         ("experiment", "--name", "khintchine", "--d", "2", "--kind", "max",
-         "--trials", "1", "--workers", "1"),
-        ("experiment", "--name", "minsplit", "--schedule", "1000,100000"),
+         "--trials", "1", "--workers", "1", "--enum-cap"),
+        ("experiment", "--name", "minsplit", "--schedule", "1000,100000", "--enum-cap"),
+        ("cf", "--target", "seed:3", "--precision-bits"),
+        ("approx", "--target", "golden", "--height", "max", "--bound", "8",
+         "--precision-bits"),
+        ("exponent", "--target", "golden", "--height", "max", "--cap", "10000",
+         "--precision-bits"),
+        ("experiment", "--name", "khintchine", "--d", "2", "--kind", "max",
+         "--trials", "1", "--workers", "1", "--precision-bits"),
     ],
 )
 def test_nonpositive_enum_cap_is_usage_error(capsys, argv, cap):
-    code, out, err = run(capsys, *argv, "--enum-cap", cap)
+    # argv ends with the flag that receives the nonpositive value
+    code, out, err = run(capsys, *argv, cap)
     assert code == 2
-    assert "--enum-cap must be >= 1" in err
+    assert f"{argv[-1]} must be >= 1" in err
     assert out == ""
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from heightlab.experiments import (
     BoxCountReport,
     RunConfig,
     _band,
+    _cells,
     _theta_radius,
     box_count_probe,
     critical_exponent,
@@ -203,6 +205,108 @@ def test_band_matches_counting_loop():
             for root in (1, 2):
                 want = _band_by_loop(level, tau, root)
                 assert list(_band(level, tau, root)) == want, (tau, level, root)
+
+
+# Reference for the box-count probe in Fraction arithmetic: every ball is a
+# Fraction centre with a Fraction radius, each cell span is the floor of a
+# Fraction, and every (p1, p2) adds its own cells.
+def _coprime_lists(n):
+    return [p for p in range(n) if math.gcd(p, n) == 1] or [0]
+
+
+def _ball_points_max(q_values):
+    pts = []
+    for q in q_values:
+        for q1, q2 in {(q, t) for t in range(1, q + 1)} | {(t, q) for t in range(1, q + 1)}:
+            for p1 in _coprime_lists(q1):
+                for p2 in _coprime_lists(q2):
+                    pts.append((Fraction(p1, q1), Fraction(p2, q2), q))
+    return pts
+
+
+def _ball_points_prod(products):
+    pts = []
+    for prod in products:
+        for q1 in range(1, prod + 1):
+            if prod % q1:
+                continue
+            q2 = prod // q1
+            for p1 in _coprime_lists(q1):
+                for p2 in _coprime_lists(q2):
+                    pts.append((Fraction(p1, q1), Fraction(p2, q2), prod))
+    return pts
+
+
+def _cell_span(center, radius, level):
+    scale = 1 << level
+    lo = (center - radius) * scale
+    hi = (center + radius) * scale
+    lo_i = max(0, lo.numerator // lo.denominator)
+    hi_i = min(scale - 1, hi.numerator // hi.denominator)
+    return range(lo_i, hi_i + 1)
+
+
+def _fraction_level_counts(kind, tau, levels):
+    root = 1 if kind is HeightKind.MAX else 2
+    points = _ball_points_max if kind is HeightKind.MAX else _ball_points_prod
+    counts = []
+    for level in levels:
+        cells = set()
+        for c1, c2, n in points(_band(level, tau, root)):
+            radius = _theta_radius(n, tau, root)
+            for ix in _cell_span(c1, radius, level):
+                for iy in _cell_span(c2, radius, level):
+                    cells.add((ix, iy))
+        counts.append((level, len(cells)))
+    return tuple(counts)
+
+
+@pytest.mark.parametrize(
+    "kind, tau, top",
+    [
+        (HeightKind.MAX, Fraction(2), 6),
+        (HeightKind.MAX, Fraction(7, 3), 7),
+        (HeightKind.MAX, Fraction(3), 9),
+        (HeightKind.MAX, Fraction(4), 11),
+        (HeightKind.MAX, Fraction(799, 100), 15),
+        (HeightKind.PROD_ROOT, Fraction(2), 5),
+        (HeightKind.PROD_ROOT, Fraction(7, 3), 6),
+        (HeightKind.PROD_ROOT, Fraction(3), 7),
+        (HeightKind.PROD_ROOT, Fraction(4), 9),
+        (HeightKind.PROD_ROOT, Fraction(799, 100), 12),
+    ],
+)
+def test_box_probe_counts_match_fraction_enumerator(kind, tau, top):
+    levels = range(top + 1)
+    bc = box_count_probe(kind, tau, grid_levels=levels)
+    assert bc.skipped == ()
+    assert bc.levels == _fraction_level_counts(kind, tau, levels)
+
+
+def _fraction_cells(q, k, level):
+    radius = Fraction(1, k)
+    return {
+        ix for p in _coprime_lists(q) for ix in _cell_span(Fraction(p, q), radius, level)
+    }
+
+
+@pytest.mark.parametrize(
+    "q, k, level",
+    [
+        (4, 8, 3),  # 1/4 -+ 1/8 and 3/4 -+ 1/8 end on cell boundaries
+        (1, 2, 4),  # p = 0: the ball starts at -1/2 and clips to cell 0
+        (3, 2, 3),  # 2/3 + 1/2 > 1 clips to cell 2^level - 1
+    ],
+)
+def test_cells_match_fraction_floors(q, k, level):
+    assert _cells(q, k, level) == _fraction_cells(q, k, level)
+
+
+def test_cells_match_fraction_floors_on_grid():
+    for q in range(1, 11):
+        for k in range(1, 31):
+            for level in range(7):
+                assert _cells(q, k, level) == _fraction_cells(q, k, level), (q, k, level)
 
 
 def test_box_probe_runs_at_large_tau_numerators():
