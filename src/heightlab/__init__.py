@@ -45,7 +45,6 @@ from .exponents import (
     ExponentTrace,
     TraceEntry,
     constant_estimate,
-    matched_tuples,
     omega_estimate,
     trace_csv_rows,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "ExponentTrace",
     "TraceEntry",
     "constant_estimate",
-    "matched_tuples",
     "omega_estimate",
     "trace_csv_rows",
     "HeightKind",

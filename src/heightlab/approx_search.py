@@ -12,9 +12,10 @@ coordinates that tie the max-norm error; ``fast_best``'s product optimum is
 that walk's last record.
 
 Under the lcm height a point whose height divides D has coordinates in
-(1/D)Z, so its best choice at D is the nearest multiples round(D*x_i)/D; the
-lcm records and ``fast_best`` certify those points at the D that one chunked
-float scan over D = 1..cap keeps.
+(1/D)Z, so its best choice at D is the nearest multiples round(D*x_i)/D.  One
+pass certifies those points at the D that a chunked float scan over
+D = 1..cap keeps; it yields the lcm records, hence the optimum, and the set of
+points that tie the optimum, from which ``fast_best`` takes its answer.
 
 Tie-break of ``fast_best`` and ``brute_force_best``: smallest numerator
 vector (lexicographic), then smallest denominator vector.  A point of
@@ -35,7 +36,7 @@ import numpy as np
 
 from .cf_engine import ConvergentCursor
 from .errors import CapExceededError, PrecisionExhaustedError, UnboundedSearchError
-from .heights import HeightKind, HeightValue, height, iroot
+from .heights import HeightKind, HeightValue, height, height_of_dens, iroot
 from .numerics import Interval, RealTarget, precisions, refine
 
 DEFAULT_ENUM_CAP = 10 ** 7
@@ -634,7 +635,7 @@ def fast_best(
     cap = _den_cap(budget, d)
 
     if kind is HeightKind.LCM:
-        ties = _lcm_ties(targets, cap, enum_cap)
+        _, ties = _lcm_opt(targets, cap, enum_cap)
     else:
         if kind is HeightKind.MAX:
             opt = ErrVal(targets, [_BestTable(t).best_at(cap)[1] for t in targets])
@@ -647,31 +648,6 @@ def fast_best(
         # float prefilter and the certified comparison disagree
         raise AssertionError("certified optimum lost during tie collection")
     return _finish(targets, kind, _lex_min(ties))
-
-
-def _lcm_opt(targets, dens: Sequence[int]) -> ErrVal:
-    """Best error over the scanned common denominators: the last lcm record."""
-    return _last_record(_lcm_walk(targets, dens))
-
-
-def _lcm_ties(targets, lcm_cap: int, enum_cap: int):
-    """All points of lcm height <= cap whose error equals the optimum E*.
-
-    E* <= max_i ||cap*x_i||/cap <= 1/(2*cap), so a tie of lcm L <= cap lies
-    within 1/(2L) of x in every coordinate: it takes nearest multiples of 1/L,
-    either neighbour where L*x_i is a half-integer.  The scan keeps that L, and
-    its lower bound is <= E*, so the denominators of those multiples cover it.
-    """
-    dens, lo = _lcm_scan(targets, lcm_cap, enum_cap)
-    opt = _lcm_opt(targets, dens.tolist())
-    if opt.champion().exact == 0:
-        return {opt.point}  # only x itself is at error 0
-    opt_hi_f = opt.champion().float_bounds()[1]
-    tuples = set()
-    for dd in dens[lo <= opt_hi_f].tolist():
-        per_coord = [{f.denominator for f in _nearest_multiples(t, dd)} for t in targets]
-        tuples.update(iter_product(*per_coord))
-    return _collect_ties(targets, tuples, opt)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +673,8 @@ def records(
     A record's point has the record's height and error, but among tied points
     it need not be the lex-min one that ``fast_best`` returns.  Lcm records
     are nearest-multiple points: at height D every coordinate is the multiple
-    of 1/D nearest x_i.
+    of 1/D nearest x_i.  They come from the same single pass (``_lcm_opt``)
+    that gives ``fast_best`` its lcm optimum and tie set.
     """
     targets = _validate_targets(x)
     if kind is HeightKind.MIN:
@@ -707,7 +684,7 @@ def records(
     d = len(targets)
     cap = _den_cap(budget, d)
     if kind is HeightKind.LCM and d >= 2:
-        walk = _lcm_walk(targets, _lcm_scan(targets, cap, enum_cap)[0].tolist())
+        walk, _ = _lcm_opt(targets, cap, enum_cap)
     else:
         walk = _frontier(targets, kind, cap, enum_cap)
     return [ApproxRecord(ev.point, ev.certified_interval(), hv) for hv, ev in walk]
@@ -788,9 +765,8 @@ def _frontier(
             idx[i] += 1
 
 
-def _lcm_scan(targets, lcm_cap: int, enum_cap: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Common denominators D <= cap that may beat every smaller one, with
-    the float lower bounds of their nearest-point errors.
+def _lcm_scan(targets, lcm_cap: int, enum_cap: int) -> List[int]:
+    """Common denominators D <= cap that may beat every smaller one.
 
     A D whose lower bound reaches the upper bound of a smaller D cannot beat
     it.  Every other D is kept, which includes every record and every D that
@@ -798,34 +774,51 @@ def _lcm_scan(targets, lcm_cap: int, enum_cap: int) -> Tuple[np.ndarray, np.ndar
     """
     if lcm_cap > enum_cap:
         raise CapExceededError(f"lcm scan over {lcm_cap} denominators exceeds cap {enum_cap}")
-    kept_d, kept_lo = [], []
+    kept = []
     best_hi = math.inf
     for start in range(1, lcm_cap + 1, _CHUNK):
         ds = np.arange(start, min(start + _CHUNK, lcm_cap + 1), dtype=np.int64)
         lo, hi = _lcm_bounds(targets, ds)
         below = np.minimum.accumulate(np.concatenate(([best_hi], hi[:-1])))
-        keep = lo < below
-        kept_d.append(ds[keep])
-        kept_lo.append(lo[keep])
+        kept.append(ds[lo < below])
         best_hi = min(best_hi, float(hi.min()))
-    return np.concatenate(kept_d), np.concatenate(kept_lo)
+    return np.concatenate(kept).tolist()
 
 
-def _lcm_walk(targets, dens: Sequence[int]) -> Iterator[Tuple[HeightValue, ErrVal]]:
-    """Lcm-height records among the scanned common denominators.
+def _lcm_opt(targets, lcm_cap: int, enum_cap: int):
+    """Lcm-height records up to the cap, and every point that ties the last.
 
     The best point whose lcm height divides D takes the nearest multiples of
     1/D (Lagarias 1982).  If its lcm is L < D it was already L's best point,
-    so each improvement is a record of lcm height exactly D.
+    so each improvement over the denominators that ``_lcm_scan`` keeps is a
+    record of lcm height exactly D.
+
+    Ties: let E* be the last record's error and D* its height.  A point of
+    error E* has some lcm L <= cap, and E* <= 1/(2*cap) <= 1/(2L), cap's own
+    nearest point being that close.  So every coordinate of the point is a
+    nearest multiple of 1/L, either neighbour where L*x_i is a half-integer,
+    and L's nearest point has error E* too.  The scan keeps L, since
+    lo(L) <= E* lies below the upper bound of every smaller D, and L >= D*,
+    or D* would not be a strict record.  Hence the ties are the products of
+    ``_nearest_multiples`` over D* and over each later D whose point compares
+    equal to D*'s: values the walk computes anyway.  An exact zero error ends
+    the walk, as nothing beats it and every multiple of D repeats x; its one
+    tie is x itself.
     """
-    cur: Optional[ErrVal] = None
-    for dd in dens:
-        ev = ErrVal(targets, [_nearest_multiples(t, dd)[0] for t in targets])
-        if cur is None or ev.compare(cur) < 0:
-            cur = ev
-            yield HeightValue(dd), ev
-            if ev.champion().exact == 0:
-                return  # nothing beats 0, and every multiple of dd repeats x
+    chain: List[Tuple[HeightValue, ErrVal]] = []
+    ties = set()
+    for dd in _lcm_scan(targets, lcm_cap, enum_cap):
+        near = [_nearest_multiples(t, dd) for t in targets]
+        ev = ErrVal(targets, [m[0] for m in near])
+        c = ev.compare(chain[-1][1]) if chain else -1
+        if c < 0:
+            chain.append((HeightValue(dd), ev))
+            ties = set()
+        if c <= 0:
+            ties.update(iter_product(*near))
+        if ev.champion().exact == 0:
+            break
+    return chain, ties
 
 
 def record_csv_rows(chain: Sequence[ApproxRecord]) -> List[Tuple]:
@@ -859,11 +852,6 @@ def _err_beats_power(atom: _Atom, base: int, tau: Fraction) -> bool:
     )
 
 
-def _window_solutions(target: RealTarget, q: int, tau: Fraction) -> List[Fraction]:
-    """All reduced p/q with |x - p/q| < q**(-tau), certified."""
-    return [Fraction(p, q) for p in _solution_ps(target, q, q, tau)]
-
-
 def _legendre_threshold(tau: Fraction) -> int:
     """Smallest q with q^(tau-2) >= 2; above it solutions are convergents."""
     a, b = tau.numerator, tau.denominator
@@ -877,11 +865,11 @@ def _count_d1(target: RealTarget, tau: Fraction, cap: int, enum_cap: int) -> Lis
     q0 = _legendre_threshold(tau) if tau > 2 else cap + 1
     work = 0
     for q in range(1, min(q0, cap + 1)):
-        got = _window_solutions(target, q, tau)
+        got = _solution_ps(target, q, q, tau)
         work += max(len(got), 1)
         if work > enum_cap:
             raise CapExceededError("direct window enumeration exceeds cap")
-        sols.extend(got)
+        sols.extend(Fraction(p, q) for p in got)
     if q0 <= cap:
         cursor = ConvergentCursor(target)
         while True:
@@ -966,35 +954,20 @@ def solutions_count(
         return len(_min_witness_points(targets, tau, cap, aux_cap, enum_cap))
     grid = _grid_for(kind, d, cap, enum_cap)
     count = 0
-    for dens in grid:
-        dens = [int(q) for q in dens]
-        if kind is HeightKind.MAX:
-            hbase, hroot = max(dens), 1
-        elif kind is HeightKind.PROD:
-            hbase, hroot = math.prod(dens), 1
-        elif kind is HeightKind.PROD_ROOT:
-            hbase, hroot = math.prod(dens), d
-        else:
-            hbase, hroot = math.lcm(*dens), 1
-        # error < (hbase^(1/hroot))^(-tau) = hbase^(-tau/hroot)
-        t_eff = tau / hroot
-        per_coord = []
-        empty = False
+    for dens in grid.tolist():
+        hv = height_of_dens(dens, kind)
+        # error < (base^(1/root))^(-tau) = base^(-tau/root)
+        n = 1
         for t, q in zip(targets, dens):
-            ps = []
-            for p in _solution_ps(t, q, hbase, t_eff):
-                ps.append(p)
-            if not ps:
-                empty = True
+            n *= len(_solution_ps(t, q, hv.base, tau / hv.root))
+            if not n:
                 break
-            per_coord.append(ps)
-        if empty:
-            continue
-        count += math.prod(len(ps) for ps in per_coord)
+        count += n
     return count
 
 
 def _solution_ps(target: RealTarget, q: int, hbase: int, tau: Fraction) -> List[int]:
+    """Numerators p coprime to q with |x - p/q| < hbase**(-tau), certified."""
     e = refine(target, min(128, target.budget))
     mid = float((e.lower + e.upper) / 2)
     center = mid * q

@@ -273,7 +273,7 @@ class BoxCountReport:
     kind: HeightKind
     tau: Fraction
     levels: Tuple[Tuple[int, int], ...]
-    skipped: Tuple[int, ...]
+    skipped: Tuple[int, ...]  # always (): no band is empty, see _band
     slope: float
     residual: float
 
@@ -283,7 +283,8 @@ def _band(level: int, tau: Fraction, root: int) -> range:
 
     root = 1 gives the max heights q, root = 2 the products q1*q2.  With
     tau = a/b and r = iroot(2^(root*level*b), a), n <= B^root iff n <= r, and
-    n > B^root / 2^root iff 2^root * n > r, i.e. n > r // 2^root.
+    n > B^root / 2^root iff 2^root * n > r, i.e. n > r // 2^root.  The band
+    is never empty: r >= 1, and r // 2^root + 1 <= r for every r >= 1.
     """
     r = iroot(1 << (root * level * tau.denominator), tau.numerator)
     return range(r // 2 ** root + 1, r + 1)
@@ -347,14 +348,9 @@ def box_count_probe(
         raise ValueError("need 2 <= tau <= 8")
     root = 1 if kind is HeightKind.MAX else 2
     counts: List[Tuple[int, int]] = []
-    skipped: List[int] = []
     for level in grid_levels:
-        band = _band(level, tau, root)
-        if not band:
-            skipped.append(level)
-            continue
         cells = set()
-        for n in band:
+        for n in _band(level, tau, root):
             k = _theta_radius(n, tau, root).denominator
             for q1, q2 in _den_pairs(kind, n):
                 xs, ys = _cells(q1, k, level), _cells(q2, k, level)
@@ -366,7 +362,7 @@ def box_count_probe(
     ys = np.log(np.array([c for _, c in counts], dtype=np.float64))
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
-    return BoxCountReport(kind, tau, tuple(counts), tuple(skipped), float(slope), resid)
+    return BoxCountReport(kind, tau, tuple(counts), (), float(slope), resid)
 
 
 def _theta_radius(theta: int, tau: Fraction, root: int) -> Fraction:

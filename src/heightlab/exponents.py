@@ -7,13 +7,11 @@ the last entry past the warm-up cutoff (default) or the entry with the
 largest certified lower endpoint.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .approx_search import DEFAULT_ENUM_CAP, ApproxRecord, records
-from .cf_engine import ConvergentTable
 from .errors import InsufficientDataError
 from .heights import HeightKind, HeightValue
 from .numerics import Interval, RealTarget, ln_enclosure, pow_enclosure
@@ -170,47 +168,6 @@ def constant_estimate(
     else:
         est = min((e.value for e in tail), key=lambda iv: (iv.lower, iv.upper))
     return ConstantTrace(kind, tau, height_cap, entries, est)
-
-
-def _log_nearest_index(dens: Sequence[int], q: int) -> int:
-    """1-indexed position of the denominator closest to q in log scale.
-
-    For q between consecutive denominators the geometric mean decides:
-    q is closer to the lower one exactly when q^2 < q_m * q_{m+1}.
-    Ties go to the smaller index.
-    """
-    i = bisect_right(dens, q) - 1
-    if i < 0:
-        return 1
-    if i + 1 >= len(dens):
-        return len(dens)
-    return i + 1 if q * q <= dens[i] * dens[i + 1] else i + 2
-
-
-def matched_tuples(
-    tables: Sequence[ConvergentTable], depth: int
-) -> List[Tuple[Fraction, ...]]:
-    """For each convergent of the first coordinate, the tuple built from the
-    convergent of every other coordinate whose denominator is closest in log
-    scale, deduplicated in order of appearance."""
-    if not tables:
-        return []
-    if depth < 1:
-        raise ValueError("need depth >= 1")
-    for t in tables:
-        if len(t) < depth:
-            raise ValueError(f"table of length {len(t)} shorter than depth {depth}")
-    primary = tables[0]
-    others = list(tables[1:])
-    dens = [t.denominators() for t in others]
-    out: List[Tuple[Fraction, ...]] = []
-    for n in range(1, depth + 1):
-        q = primary.row(n).q
-        point = [primary.convergent(n)]
-        for t, dlist in zip(others, dens):
-            point.append(t.convergent(_log_nearest_index(dlist, q)))
-        out.append(tuple(point))
-    return list(dict.fromkeys(out))
 
 
 def trace_csv_rows(trace) -> List[Tuple[int, int, Fraction, Fraction]]:

@@ -120,7 +120,11 @@ class HeightValue:
 
 def height(r: RationalPoint, kind: HeightKind) -> HeightValue:
     """Height of a reduced rational point under the given kind."""
-    dens = [coord.denominator for coord in r]
+    return height_of_dens([coord.denominator for coord in r], kind)
+
+
+def height_of_dens(dens: Sequence[int], kind: HeightKind) -> HeightValue:
+    """Height of any reduced point with these denominators."""
     if not dens:
         raise ValueError("point must have at least one coordinate")
     if kind is HeightKind.MAX:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heightlab import approx_search
 from heightlab.approx_search import (
+    DEFAULT_ENUM_CAP,
     ApproxRecord,
     Budget,
     ErrVal,
@@ -17,6 +19,7 @@ from heightlab.approx_search import (
     _coord_options,
     _filter_bounds,
     _lcm_bounds,
+    _lcm_scan,
     _nearest_ps,
     _tuple_best,
     brute_force_best,
@@ -294,6 +297,10 @@ def test_frontier_chain_matches_tuple_enumeration(d):
         assert records(x, HeightKind.PROD, HeightValue(10 ** 4)) == want
 
 
+# the optimum (1/3, 2/7) recurs at every multiple of 21
+RECURRING_LCM_OPTIMUM = (Fraction(1, 3), Fraction(2, 7) + Fraction(1, 10 ** 9))
+
+
 @pytest.mark.parametrize(
     "coords",
     [
@@ -307,6 +314,7 @@ def test_frontier_chain_matches_tuple_enumeration(d):
         (Fraction(3, 4), Fraction(3, 7)),
         (Fraction(5, 6), Fraction(1, 4)),
         (Fraction(9, 10), Fraction(5, 8), Fraction(3, 4)),
+        RECURRING_LCM_OPTIMUM,
     ],
 )
 @pytest.mark.parametrize("kind", PROD_KINDS + [HeightKind.LCM])
@@ -362,6 +370,25 @@ def test_lcm_chain_matches_divisor_walk(d, cap):
     for seed in range(40):
         x = sample_uniform(seed, d)
         assert records(x, HeightKind.LCM, HeightValue(cap)) == _divisor_walk_records(x, cap)
+
+
+def test_lcm_fast_best_certifies_each_scanned_denominator_once(monkeypatch):
+    # records, optimum and tie set come from one pass: one nearest-multiple
+    # call per coordinate and kept D, none in a second sweep
+    x = tuple(RationalTarget(f) for f in RECURRING_LCM_OPTIMUM)
+    calls = []
+    nearest = approx_search._nearest_multiples
+
+    def counted(target, q):
+        calls.append(q)
+        return nearest(target, q)
+
+    monkeypatch.setattr(approx_search, "_nearest_multiples", counted)
+    rec = fast_best(x, Budget(HeightKind.LCM, HeightValue(3000)))
+    assert rec.point == (Fraction(1, 3), Fraction(2, 7))
+    kept = _lcm_scan(x, 3000, DEFAULT_ENUM_CAP)
+    assert len(kept) > 100
+    assert sorted(calls) == sorted(kept * len(x))
 
 
 def test_lcm_scan_reaches_a_million_and_counts_against_the_cap():

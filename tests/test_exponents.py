@@ -4,11 +4,9 @@ from fractions import Fraction
 import pytest
 
 from heightlab import exponents
-from heightlab.cf_engine import expand
 from heightlab.errors import InsufficientDataError
 from heightlab.exponents import (
     constant_estimate,
-    matched_tuples,
     omega_estimate,
     trace_csv_rows,
 )
@@ -134,41 +132,6 @@ def test_running_max_dominates_last():
     assert tr_max.estimate.lower >= tr_last.estimate.lower
     rm = tr_last.running_max
     assert all(a <= b for a, b in zip(rm, rm[1:]))
-
-
-def test_matched_pairs_for_golden_and_sqrt2():
-    tabs = [expand(golden_target(), 9), expand(sqrt2_target(), 8)]
-    got = matched_tuples(tabs, 8)
-    assert got == [
-        (Fraction(1, 1), Fraction(1, 2)),
-        (Fraction(1, 2), Fraction(1, 2)),
-        (Fraction(2, 3), Fraction(1, 2)),
-        (Fraction(3, 5), Fraction(2, 5)),
-        (Fraction(5, 8), Fraction(5, 12)),
-        (Fraction(8, 13), Fraction(5, 12)),
-        (Fraction(13, 21), Fraction(12, 29)),
-        (Fraction(21, 34), Fraction(12, 29)),
-    ]
-    # q = 34 pairs with 29, the log-closer of {29, 70}
-    assert got[-1] == (Fraction(21, 34), Fraction(12, 29))
-
-
-def test_matched_pairs_identical_tables_match_index():
-    tabs = [expand(golden_target(), 6), expand(golden_target(), 6)]
-    got = matched_tuples(tabs, 6)
-    assert all(a == b for a, b in got)
-    assert len(got) == 6
-
-
-def test_matched_tuples_single_table_lists_convergents():
-    tab = expand(golden_target(), 5)
-    got = matched_tuples([tab], 5)
-    assert got == [(tab.convergent(n),) for n in range(1, 6)]
-    with pytest.raises(ValueError):
-        matched_tuples([tab], 6)
-    assert matched_tuples([tab, expand(sqrt2_target(), 5)], 1) == [
-        (Fraction(1, 1), Fraction(1, 2))
-    ]
 
 
 def test_trace_csv_rows():
