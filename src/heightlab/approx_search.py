@@ -676,6 +676,20 @@ def records(
     of 1/D nearest x_i.  They come from the same single pass (``_lcm_opt``)
     that gives ``fast_best`` its lcm optimum and tie set.
     """
+    return [
+        ApproxRecord(ev.point, ev.certified_interval(), hv)
+        for hv, ev in _record_walk(x, kind, height_cap, enum_cap)
+    ]
+
+
+def _record_walk(
+    x: Sequence[RealTarget], kind: HeightKind, height_cap: HeightValue, enum_cap: int
+) -> Iterable[Tuple[HeightValue, ErrVal]]:
+    """The records of ``records`` as uncertified (height, error) pairs.
+
+    The arguments are checked on the call, before the walk starts; a frontier
+    walk runs as it is read.
+    """
     targets = _validate_targets(x)
     if kind is HeightKind.MIN:
         raise UnboundedSearchError("min height bounds only one coordinate")
@@ -685,9 +699,8 @@ def records(
     cap = _den_cap(budget, d)
     if kind is HeightKind.LCM and d >= 2:
         walk, _ = _lcm_opt(targets, cap, enum_cap)
-    else:
-        walk = _frontier(targets, kind, cap, enum_cap)
-    return [ApproxRecord(ev.point, ev.certified_interval(), hv) for hv, ev in walk]
+        return walk
+    return _frontier(targets, kind, cap, enum_cap)
 
 
 def _last_record(walk: Iterable[Tuple[object, ErrVal]]) -> ErrVal:

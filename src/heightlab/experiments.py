@@ -139,7 +139,7 @@ def _omega_trial(job: Tuple[RunConfig, int]) -> Dict:
     row["status"] = "ok"
     row["estimate_lo"] = _frac_str(tr.estimate.lower)
     row["estimate_hi"] = _frac_str(tr.estimate.upper)
-    row["records"] = len(tr.entries)
+    row["records"] = tr.n_entries
     return row
 
 

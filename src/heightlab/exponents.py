@@ -1,23 +1,58 @@
 """Growth-rate diagnostics read off record chains.
 
 For a record at height H with certified error enclosure [e_lo, e_hi] the
-quotient -log(err)/log(H) brackets the local approximation exponent.  The
-trace keeps one such interval per record; the reported estimate is either
-the last entry past the warm-up cutoff (default) or the entry with the
-largest certified lower endpoint.
+quotient -log(err)/log(H) brackets the local approximation exponent.  A
+trace's ``entries`` hold one such interval per record at height >= 2; the
+reported estimate is either the last entry past the warm-up cutoff
+(default) or the entry with the largest certified lower endpoint.
+
+The default estimate reads the uncertified record walk
+(``approx_search._record_walk``): it certifies, and takes the logs of, the
+last record only, and counts the entries without logs.  That count is
+exact, because every record at height H >= 2 has a usable quotient:
+
+- Every walk starts at height 1, whose point takes the nearest integer of
+  each coordinate in [0, 1): its error is at most 1/2.  A later record's
+  certified comparison puts its error e strictly below that one, and e > 0
+  as the coordinates are irrational.
+- ``ErrVal.certified_interval`` returns an interval [e_lo, e_hi] around e
+  with e_lo > 0, or raises.  Either its relative width is at most 2**-40,
+  so e_hi <= e_lo * (1 + 2**-40) <= e * (1 + 2**-40) < 1, or the budget ran
+  out and it returns the last interval: coordinate i's error then lies
+  within the width 2**-budget_i <= 1/2 of its enclosure at its own budget
+  of at least one bit, so e_hi <= e + 1/2 < 1.
+- H >= 2 makes the certified lower end of ln(H) at least that of ln(2) > 0
+  (``HeightValue.log_height``).
+
+``_quotient`` raises ``AssertionError`` should a record break this.
+
+A target returns the tightest enclosure it has computed, so a certified
+interval depends on the precision reached before it, and ``records``
+certifies each record as the walk reaches it.  So the entries of a
+``last`` trace come from ``records`` run on copies of the targets taken
+before the walk: they equal the eager intervals even where the walk or the
+last record refined past the 192 bits a certificate starts at.  The last
+record's lone certificate equals the one ``records`` gives it unless some
+earlier certificate refined a target further than the walk and the last
+certificate do.  Earlier records have larger errors, so they reach the
+relative width 2**-40 at no more precision unless their enclosures are
+much wider at equal precision; no such case is known.
 """
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property, partial
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .approx_search import DEFAULT_ENUM_CAP, ApproxRecord, records
+from .approx_search import DEFAULT_ENUM_CAP, _record_walk, records
 from .errors import InsufficientDataError
 from .heights import HeightKind, HeightValue
 from .numerics import Interval, RealTarget, ln_enclosure, pow_enclosure
 
 _REDUCERS = ("last", "running_max")
 _LOG_BITS = 160
+_TWO = HeightValue(2)
 
 
 @dataclass(frozen=True)
@@ -27,16 +62,29 @@ class TraceEntry:
 
 
 @dataclass(frozen=True)
-class ExponentTrace:
+class _Trace:
+    """An estimate and the count of its entries, the records at height >= 2.
+
+    ``entries`` are computed by ``_eager`` when first read.
+    """
+
     kind: HeightKind
     cap: HeightValue
-    entries: Tuple[TraceEntry, ...]
     estimate: Interval
+    n_entries: int
+    _eager: Callable[[], Tuple[TraceEntry, ...]] = field(repr=False, compare=False)
+
+    @cached_property
+    def entries(self) -> Tuple[TraceEntry, ...]:
+        return self._eager()
 
     @property
     def value(self) -> float:
         return float(self.estimate.lower)
 
+
+@dataclass(frozen=True)
+class ExponentTrace(_Trace):
     @property
     def running_max(self) -> Tuple[Fraction, ...]:
         out: List[Fraction] = []
@@ -48,49 +96,76 @@ class ExponentTrace:
 
 
 @dataclass(frozen=True)
-class ConstantTrace:
-    kind: HeightKind
+class ConstantTrace(_Trace):
     tau: Fraction
-    cap: HeightValue
-    entries: Tuple[TraceEntry, ...]
-    estimate: Interval
-
-    @property
-    def value(self) -> float:
-        return float(self.estimate.lower)
 
 
-def _quotient(rec: ApproxRecord) -> Optional[Interval]:
-    e_lo, e_hi = rec.error.lower, rec.error.upper
+_Value = Callable[[HeightValue, Interval], Interval]
+
+
+def _quotient(height: HeightValue, err: Interval) -> Interval:
+    e_lo, e_hi = err.lower, err.upper
     if e_lo <= 0 or e_hi >= 1:
-        return None
+        raise AssertionError(f"record at height {height} has error {err} outside (0, 1)")
     num_lo = -ln_enclosure(e_hi, bits=_LOG_BITS).upper
     num_hi = -ln_enclosure(e_lo, bits=_LOG_BITS).lower
-    den = rec.height.log_height(_LOG_BITS)
+    den = height.log_height(_LOG_BITS)
     if den.lower <= 0:
-        return None
+        raise AssertionError(f"record height {height} has no positive log")
     return Interval(num_lo / den.upper, num_hi / den.lower)
 
 
-def _tail(entries: Sequence[TraceEntry], warmup: int) -> List[TraceEntry]:
+def _tail_len(heights: Iterable[HeightValue], warmup: int) -> int:
     """Entries past the warm-up height; an estimate needs at least 3."""
-    tail = [e for e in entries if e.height >= HeightValue(warmup)]
-    if len(tail) < 3:
-        raise InsufficientDataError(
-            f"{len(tail)} usable records past height {warmup}, need at least 3"
+    n = sum(1 for h in heights if h >= HeightValue(warmup))
+    if n < 3:
+        raise InsufficientDataError(f"{n} usable records past height {warmup}, need at least 3")
+    return n
+
+
+def _eager_entries(x, kind, height_cap, enum_cap, value: _Value) -> Tuple[TraceEntry, ...]:
+    chain = records(x, kind, height_cap, enum_cap=enum_cap)
+    return tuple(TraceEntry(r.height, value(r.height, r.error)) for r in chain if r.height >= _TWO)
+
+
+def _read(
+    cls, x, walk_kind, height_cap, warmup, reducer, enum_cap, value: _Value, pick, **fields
+):
+    """A ``cls`` trace of the records of ``x`` under ``walk_kind``, with its
+    estimate.
+
+    ``last`` walks the records uncertified and certifies the last one only.
+    The running reducers ``pick`` from every entry past the warm-up.
+    """
+    eager = partial(_eager_entries, kind=walk_kind, height_cap=height_cap,
+                    enum_cap=enum_cap, value=value)
+    if reducer == "last":
+        before = tuple(copy.copy(t) for t in x)
+        walk = [r for r in _record_walk(x, walk_kind, height_cap, enum_cap) if r[0] >= _TWO]
+        _tail_len((hv for hv, _ in walk), warmup)
+        hv, ev = walk[-1]
+        return cls(
+            estimate=value(hv, ev.certified_interval()),
+            n_entries=len(walk),
+            _eager=partial(eager, before),
+            **fields,
         )
-    return tail
+    entries = eager(x)
+    n_tail = _tail_len((e.height for e in entries), warmup)
+    return cls(
+        estimate=pick(e.value for e in entries[-n_tail:]),
+        n_entries=len(entries),
+        _eager=lambda: entries,
+        **fields,
+    )
 
 
-def _entries_for(chain: Sequence[ApproxRecord]) -> Tuple[TraceEntry, ...]:
-    out = []
-    for rec in chain:
-        if rec.height < HeightValue(2):
-            continue
-        q = _quotient(rec)
-        if q is not None:
-            out.append(TraceEntry(rec.height, q))
-    return tuple(out)
+def _omega_trace(x, kind, height_cap, warmup, reducer, enum_cap) -> ExponentTrace:
+    kind_eff = HeightKind.MAX if kind is HeightKind.MIN else kind
+    return _read(
+        ExponentTrace, x, kind_eff, height_cap, warmup, reducer, enum_cap, _quotient,
+        lambda ivs: max(ivs, key=lambda iv: iv.lower), kind=kind, cap=height_cap,
+    )
 
 
 def omega_estimate(
@@ -113,23 +188,10 @@ def omega_estimate(
     x = tuple(x)
     if kind is HeightKind.MIN and len(x) > 1:
         traces = [
-            omega_estimate((t,), HeightKind.MAX, height_cap, warmup, reducer, enum_cap)
-            for t in x
+            _omega_trace((t,), kind, height_cap, warmup, reducer, enum_cap) for t in x
         ]
-        best = max(traces, key=lambda tr: tr.estimate.lower)
-        return ExponentTrace(kind, height_cap, best.entries, best.estimate)
-    if kind is HeightKind.MIN:
-        kind_eff = HeightKind.MAX
-    else:
-        kind_eff = kind
-    chain = records(x, kind_eff, height_cap, enum_cap=enum_cap)
-    entries = _entries_for(chain)
-    tail = _tail(entries, warmup)
-    if reducer == "last":
-        est = tail[-1].value
-    else:
-        est = max((e.value for e in tail), key=lambda iv: iv.lower)
-    return ExponentTrace(kind, height_cap, entries, est)
+        return max(traces, key=lambda tr: tr.estimate.lower)
+    return _omega_trace(x, kind, height_cap, warmup, reducer, enum_cap)
 
 
 def constant_estimate(
@@ -149,25 +211,16 @@ def constant_estimate(
         raise ValueError("tau must be nonnegative")
     if reducer not in ("running_min", "last"):
         raise ValueError(f"unknown reducer {reducer!r}")
-    chain = records(tuple(x), kind, height_cap, enum_cap=enum_cap)
-    entries = []
-    for rec in chain:
-        if rec.height < HeightValue(2) or rec.error.lower <= 0:
-            continue
-        hp = pow_enclosure(rec.height.base, tau / rec.height.root, bits=_LOG_BITS)
-        entries.append(
-            TraceEntry(
-                rec.height,
-                Interval(rec.error.lower * hp.lower, rec.error.upper * hp.upper),
-            )
-        )
-    entries = tuple(entries)
-    tail = _tail(entries, warmup)
-    if reducer == "last":
-        est = tail[-1].value
-    else:
-        est = min((e.value for e in tail), key=lambda iv: (iv.lower, iv.upper))
-    return ConstantTrace(kind, tau, height_cap, entries, est)
+
+    def scaled(hv: HeightValue, err: Interval) -> Interval:
+        hp = pow_enclosure(hv.base, tau / hv.root, bits=_LOG_BITS)
+        return Interval(err.lower * hp.lower, err.upper * hp.upper)
+
+    return _read(
+        ConstantTrace, tuple(x), kind, height_cap, warmup, reducer, enum_cap, scaled,
+        lambda ivs: min(ivs, key=lambda iv: (iv.lower, iv.upper)),
+        kind=kind, cap=height_cap, tau=tau,
+    )
 
 
 def trace_csv_rows(trace) -> List[Tuple[int, int, Fraction, Fraction]]:

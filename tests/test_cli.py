@@ -172,6 +172,28 @@ def test_exponent_constant_mode(capsys):
     assert 0.44 < blob["value"] < 0.45
 
 
+@pytest.mark.parametrize(
+    "fixture, argv",
+    [
+        ("exponent_golden_max", ("--target", "golden", "--height", "max")),
+        ("exponent_seeded_min",
+         ("--target", "seed:7", "--target", "seed:8", "--height", "min")),
+        ("exponent_seeded_running_max",
+         ("--target", "seed:7", "--target", "seed:8", "--height", "max",
+          "--reducer", "running_max")),
+        ("exponent_golden_tau2", ("--target", "golden", "--height", "max", "--tau", "2")),
+        ("exponent_golden_tau2_last",
+         ("--target", "golden", "--height", "max", "--tau", "2", "--reducer", "last")),
+    ],
+)
+def test_exponent_output_matches_fixture(capsys, fixture, argv):
+    # the fixtures hold the output of the eager traces, which certified every
+    # record before reading the estimate
+    code, out, _ = run(capsys, "exponent", *argv, "--cap", "1000000", "--format", "json")
+    assert code == 0
+    assert out == (DATA / f"{fixture}.json").read_text()
+
+
 def test_experiment_khintchine_band(capsys):
     code, out, _ = run(capsys, "experiment", "--name", "khintchine", "--d", "2",
                        "--kind", "max", "--trials", "5", "--seed", "7000",
