@@ -11,6 +11,12 @@ come from one frontier walk over the per-coordinate tables, which moves the
 coordinates that tie the max-norm error; ``fast_best``'s product optimum is
 that walk's last record.
 
+``fast_best``'s max-height ties need no float prefilter: each coordinate
+walks the Farey sequence of order cap both ways from the optimum's own
+coordinate, certifying each term against the optimum until one falls
+behind, so the ties cost O(ties), not O(cap).  Product ties still come from
+a float scan over each coordinate's denominators.
+
 Under the lcm height a point whose height divides D has coordinates in
 (1/D)Z, so its best choice at D is the nearest multiples round(D*x_i)/D.  One
 pass certifies those points at the D that a chunked float scan over
@@ -583,15 +589,22 @@ def _qualifying_dens(
 
 
 def _fast_ties(targets, kind, cap, opt: ErrVal, enum_cap):
+    """Every admissible point whose certified error equals opt's.
+
+    Under max each coordinate's candidates come from a Farey walk
+    (``_farey_ties``).  Under prod and prod_root a float scan over the
+    denominators keeps those that may reach opt, and ``_collect_ties``
+    certifies the points over their tuples.
+    """
+    if kind is HeightKind.MAX:
+        return _farey_ties(targets, cap, opt, enum_cap)
     opt_hi_f = opt.champion().float_bounds()[1]
-    caps = [cap] * len(targets)
-    if kind in (HeightKind.PROD, HeightKind.PROD_ROOT):
-        # opt is the frontier walk's last tuple, so each of its denominators
-        # q_i is the smallest one reaching error <= opt in its coordinate.  A
-        # tuple tying opt therefore takes at least q_j in every coordinate j,
-        # which leaves at most cap * q_i // prod(q) for coordinate i.
-        qs = [f.denominator for f in opt.point]
-        caps = [cap * q // math.prod(qs) for q in qs]
+    # opt is the frontier walk's last tuple, so each of its denominators q_i
+    # is the smallest one reaching error <= opt in its coordinate.  A tuple
+    # tying opt therefore takes at least q_j in every coordinate j, which
+    # leaves at most cap * q_i // prod(q) for coordinate i.
+    qs = [f.denominator for f in opt.point]
+    caps = [cap * q // math.prod(qs) for q in qs]
     xl, xh = _coord_float_bounds(targets)
     den_sets = [
         _qualifying_dens(c, lo, hi, opt_hi_f, enum_cap) for c, lo, hi in zip(caps, xl, xh)
@@ -600,7 +613,7 @@ def _fast_ties(targets, kind, cap, opt: ErrVal, enum_cap):
     tuples: List[Tuple[int, ...]] = []
     visits = 0
 
-    def rec(j: int, prefix: Tuple[int, ...], state: int) -> None:
+    def rec(j: int, prefix: Tuple[int, ...], left: int) -> None:
         nonlocal visits
         visits += 1
         if visits > enum_cap:
@@ -609,21 +622,86 @@ def _fast_ties(targets, kind, cap, opt: ErrVal, enum_cap):
             tuples.append(prefix)
             return
         for q in den_sets[j]:
-            if kind in (HeightKind.PROD, HeightKind.PROD_ROOT):
-                if q > state:
-                    break
-                rec(j + 1, prefix + (q,), state // q)
-            else:
-                rec(j + 1, prefix + (q,), state)
+            if q > left:
+                break
+            rec(j + 1, prefix + (q,), left // q)
 
     rec(0, (), cap)
     return _collect_ties(targets, tuples, opt)
 
 
+def _farey_next(a: int, b: int, c: int, e: int, n: int) -> Tuple[int, int]:
+    """The term after c/e in the Farey sequence of order n, where a/b < c/e
+    are consecutive there (Hardy and Wright, ch. III; Graham, Knuth and
+    Patashnik, section 4.5)."""
+    k = (n + b) // e
+    return k * c - a, k * e - b
+
+
+def _farey_ties(targets, cap: int, opt: ErrVal, enum_cap: int):
+    """Max-height points tying opt, from a Farey walk in each coordinate.
+
+    opt takes each coordinate's best entry at cap, so no point has an error
+    below E* = err(opt), and the ties are all the points whose coordinates
+    lie within E* of x: the product of the coordinates' candidate lists.
+    Coordinate i walks the Farey sequence of order cap both ways from opt's
+    own coordinate p/q, a candidate, and each side stops at its first term
+    whose certified error exceeds E*.  This finds every candidate, and only
+    candidates:
+
+    - the terms between p/q and x_i are nearer x_i than p/q, so within E*,
+      and past x_i the errors grow strictly outward, so no term past the
+      first one beyond E* comes back within E*;
+    - Farey terms are reduced fractions, and every reduced fraction with
+      denominator <= cap is one of them;
+    - a coordinate's best entry at cap is within 1/(cap + 1) of x_i (Dirichlet),
+      so E* <= 1/(cap + 1), and a p/q within E* has |q*x_i - p| < 1: p is one
+      of the two integers nearest q*x_i, the coprime numerators that the
+      per-denominator candidates (``_nearest_ps``) range over.
+
+    The left neighbour a/b of p/q has p*b - a*q = 1 with b the largest such
+    denominator <= cap.  A walk's length is the number of its candidates
+    plus two, so the ``enum_cap`` guard on the number of points bounds it too.
+    """
+    champ = opt.champion()
+    # certified intervals start from 192-bit enclosures (``_finish``); taking
+    # them first keeps a comparison they decide from refining past them,
+    # which would narrow the interval that ``_finish`` certifies
+    for t in targets:
+        refine(t, min(192, t.budget))
+    kept: List[List[Fraction]] = []
+    size = 1
+    for t, start in zip(targets, opt.point):
+        p, q = start.numerator, start.denominator
+        b = cap - (cap - pow(p, -1, q)) % q
+        a = (p * b - 1) // q
+        c, e = _farey_next(a, b, p, q, cap)
+        cands = [start]
+        # rightward after p/q; leftward is rightward after -p/q for -x
+        for sign, (u, v, w, z) in ((1, (a, b, p, q)), (-1, (-c, e, -p, q))):
+            while True:
+                u, v, (w, z) = w, z, _farey_next(u, v, w, z, cap)
+                frac = Fraction(sign * w, z)
+                if _cmp_atoms(_Atom(t, frac), champ) > 0:
+                    break
+                cands.append(frac)
+                if size * len(cands) > enum_cap:
+                    raise CapExceededError("tie candidate points exceed enumeration cap")
+        kept.append(cands)
+        size *= len(cands)
+    return set(iter_product(*kept))
+
+
 def fast_best(
     x: Sequence[RealTarget], budget: Budget, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> ApproxRecord:
-    """Table-driven minimizer; same contract and output as brute_force_best."""
+    """Table-driven minimizer; same contract and output as brute_force_best.
+
+    The returned error interval is certified from the targets' tightest
+    enclosures so far, so it depends on how far earlier calls refined the
+    passed targets: pass fresh targets, or ``clone()``s, for reproducible
+    certificates.
+    """
     targets = _validate_targets(x)
     kind = budget.kind
     if kind is HeightKind.MIN:
@@ -644,8 +722,8 @@ def fast_best(
             opt = _last_record(_frontier(targets, kind, cap, enum_cap))
         ties = _fast_ties(targets, kind, cap, opt, enum_cap)
     if not ties:
-        # the optimum's own point must be in the tie set; missing it means the
-        # float prefilter and the certified comparison disagree
+        # the optimum's own point must be in the tie set; missing it means a
+        # candidate sweep lost a point that the certified comparison keeps
         raise AssertionError("certified optimum lost during tie collection")
     return _finish(targets, kind, _lex_min(ties))
 
@@ -675,6 +753,10 @@ def records(
     are nearest-multiple points: at height D every coordinate is the multiple
     of 1/D nearest x_i.  They come from the same single pass (``_lcm_opt``)
     that gives ``fast_best`` its lcm optimum and tie set.
+
+    Error intervals are certified from the targets' tightest enclosures so
+    far, so they depend on how far earlier calls refined the passed targets:
+    pass fresh targets, or ``clone()``s, for reproducible certificates.
     """
     return [
         ApproxRecord(ev.point, ev.certified_interval(), hv)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from heightlab.approx_search import (
     _cmp_atoms,
     _coord_float_bounds,
     _coord_options,
+    _fast_ties,
     _filter_bounds,
     _lcm_bounds,
     _lcm_scan,
@@ -32,6 +34,8 @@ from heightlab.errors import CapExceededError, PrecisionExhaustedError, Unbounde
 from heightlab.heights import HeightKind, HeightValue, height
 from heightlab.numerics import (
     BitsTarget,
+    Interval,
+    RealTarget,
     RationalTarget,
     e_target,
     golden_target,
@@ -646,3 +650,143 @@ def test_best_point_is_reduced_and_within_budget(seed):
         assert math.gcd(f.numerator, f.denominator) == 1
     assert rec.height <= HeightValue(20)
     assert isinstance(rec, ApproxRecord)
+
+
+def _float_scan_max_ties(targets, cap, opt):
+    """The max tie sweep that float-scanned every denominator <= cap of each
+    coordinate and certified the candidates over the kept denominator tuples.
+
+    A tuple's candidates are certified one coordinate at a time, so the points
+    over all kept tuples are the combinations, with at least one coordinate
+    tying the optimum, of each coordinate's certified candidates over its
+    kept denominators; they are formed that way here, not tuple by tuple.
+    """
+    champ = opt.champion()
+    opt_hi_f = champ.float_bounds()[1]
+    qs = np.arange(1, cap + 1, dtype=np.int64)
+    kept = []
+    for t, x_lo, x_hi in zip(targets, *_coord_float_bounds(targets)):
+        lo, _ = _filter_bounds(qs, x_lo, x_hi)
+        opts = []
+        for q in qs[lo <= opt_hi_f * (1.0 + 1e-13) + 1e-300].tolist():
+            for _, atom in _coord_options(t, q):
+                c = _cmp_atoms(atom, champ)
+                if c <= 0:
+                    opts.append((atom.frac, c == 0))
+        kept.append(opts)
+    return {
+        tuple(f for f, _ in combo)
+        for combo in itertools.product(*kept)
+        if any(eq for _, eq in combo)
+    }
+
+
+def _max_opt(targets, cap):
+    return ErrVal(targets, [_BestTable(t).best_at(cap)[1] for t in targets])
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 7, 50, 999, 3000, 10 ** 5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_farey_max_ties_match_float_scan(d, cap):
+    # fresh targets on each side: certified intervals depend on how far a
+    # target was refined before
+    for seed in range(60):
+        x = sample_uniform(seed, d)
+        ties = _fast_ties(x, HeightKind.MAX, cap, _max_opt(x, cap), DEFAULT_ENUM_CAP)
+        y = sample_uniform(seed, d)
+        assert ties == _float_scan_max_ties(y, cap, _max_opt(y, cap)), seed
+
+
+def _fraction_oracle_max(coords, cap):
+    """Max-height optimum of exact coordinates by scanning every p/q with
+    q <= cap in [-1, 2], in plain Fraction arithmetic; a fraction outside
+    that range is more than 1 away from a coordinate in [0, 1)."""
+    fracs = {Fraction(p, q) for q in range(1, cap + 1) for p in range(-q, 2 * q + 1)}
+    best = max(min(abs(x - f) for f in fracs) for x in coords)
+    near = [[f for f in fracs if abs(x - f) <= best] for x in coords]
+    ties = [
+        pt
+        for pt in itertools.product(*near)
+        if max(abs(x - f) for x, f in zip(coords, pt)) == best
+    ]
+    point = min(ties, key=lambda pt: ([f.numerator for f in pt], [f.denominator for f in pt]))
+    return point, best
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        # mirror ties: x_i is the midpoint of two fractions of small order
+        (Fraction(1, 4), Fraction(1, 4)),
+        (Fraction(1, 4), Fraction(3, 4)),
+        (Fraction(1, 6), Fraction(1, 2), Fraction(5, 6)),
+        (Fraction(3, 10), Fraction(1, 6)),
+        (Fraction(5, 12), Fraction(7, 12)),
+        (Fraction(1, 8), Fraction(5, 8), Fraction(3, 8)),
+        # equal to a Farey fraction of order cap from cap 7 on (E* = 0), and
+        # one exact coordinate under a larger E* below that
+        (Fraction(2, 7), Fraction(3, 5)),
+        (Fraction(2, 7), Fraction(3, 7), Fraction(1, 2)),
+        # the target 0
+        (Fraction(0), Fraction(0)),
+        (Fraction(0), Fraction(1, 3)),
+        (Fraction(5, 11), Fraction(0), Fraction(9, 13)),
+    ],
+)
+def test_fast_max_matches_fraction_oracle(coords):
+    x = tuple(RationalTarget(f) for f in coords)
+    for cap in range(1, 15):
+        point, best = _fraction_oracle_max(coords, cap)
+        rec = fast_best(x, Budget(HeightKind.MAX, HeightValue(cap)))
+        assert rec.point == point, cap
+        assert rec.error.lower == rec.error.upper == best, cap
+        assert rec.height == height(point, HeightKind.MAX), cap
+
+
+class _DyadicTarget(RealTarget):
+    """An oracle-backed target with the dyadic enclosures of a given value."""
+
+    def __init__(self, value):
+        super().__init__(("dyadic", value))
+        self._value = value
+
+    def _raw_enclosure(self, bits):
+        k = math.floor(self._value * 2 ** bits)
+        return Interval(Fraction(k, 2 ** bits), Fraction(k + 1, 2 ** bits))
+
+
+def test_fast_max_certificate_survives_a_close_race():
+    # coordinate 1's candidate 2/3 misses the optimum's error E* by 2^-160/3:
+    # deciding that race takes more than 128 bits, which must not narrow
+    # the certified error below the 192-bit interval the oracle certifies
+    e_star = Fraction(3, 20) + Fraction(1, 10 ** 6 + 3)
+    x0 = Fraction(1, 3) - e_star
+    x1 = x0 + Fraction(1, 3) - Fraction(1, 3 * 2 ** 160)
+    b = Budget(HeightKind.MAX, HeightValue(3))
+    rec = fast_best((_DyadicTarget(x0), _DyadicTarget(x1)), b)
+    assert rec.point == (Fraction(1, 3), Fraction(1, 2))
+    assert rec == brute_force_best((_DyadicTarget(x0), _DyadicTarget(x1)), b)
+
+
+def test_farey_tie_product_counts_against_the_cap():
+    # 0/1 and 1/2 both tie 1/4 in each coordinate: four tied points
+    x = (RationalTarget(Fraction(1, 4)), RationalTarget(Fraction(1, 4)))
+    b = Budget(HeightKind.MAX, HeightValue(2))
+    assert fast_best(x, b, enum_cap=4).point == (Fraction(0), Fraction(0))
+    with pytest.raises(CapExceededError):
+        fast_best(x, b, enum_cap=3)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_max_fast_best_reaches_a_trillion(d):
+    # the tie walk's cost does not grow with the cap, which lies far past
+    # the default enumeration cap here
+    cap = 10 ** 12
+    start = time.perf_counter()
+    for seed in range(5):
+        x = sample_uniform(seed, d)
+        rec = fast_best(x, Budget(HeightKind.MAX, HeightValue(cap)))
+        assert rec.height <= HeightValue(cap)
+        assert rec.error == _max_opt(sample_uniform(seed, d), cap).certified_interval()
+        assert rec.error.upper < Fraction(1, cap + 1)
+    assert time.perf_counter() - start < 20
