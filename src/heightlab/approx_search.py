@@ -11,11 +11,12 @@ come from one frontier walk over the per-coordinate tables, which moves the
 coordinates that tie the max-norm error; ``fast_best``'s product optimum is
 that walk's last record.
 
-``fast_best``'s max-height ties need no float prefilter: each coordinate
-walks the Farey sequence of order cap both ways from the optimum's own
-coordinate, certifying each term against the optimum until one falls
-behind, so the ties cost O(ties), not O(cap).  Product ties still come from
-a float scan over each coordinate's denominators.
+``fast_best`` returns the lex-min tie, so under max, and under every kind
+at d = 1, it needs no tie set: its answer is each coordinate's simplest
+fraction within the optimum's error E* of x_i, found by a continued-fraction
+descent and certified against the optimum, at a cost independent of the cap.
+Product ties still come from a float scan over each coordinate's
+denominators.
 
 Under the lcm height a point whose height divides D has coordinates in
 (1/D)Z, so its best choice at D is the nearest multiples round(D*x_i)/D.  One
@@ -556,27 +557,6 @@ def brute_force_best(
 # fast route
 
 
-def _mirror_candidates(target: RealTarget, frac: Fraction, cap: int):
-    """Equal-error partner of a table entry for an exact target, if admissible."""
-    ev = target.exact_value
-    if ev is None:
-        return []
-    m = 2 * ev - frac
-    if m == frac or m.denominator > cap:
-        return []
-    if m.numerator not in _nearest_ps(target, m.denominator):
-        return []
-    return [m]
-
-
-def _fast_d1(targets, budget: Budget) -> ApproxRecord:
-    cap = _den_cap(budget, 1)
-    table = _BestTable(targets[0])
-    _, frac = table.best_at(cap)
-    cands = [(frac,)] + [(m,) for m in _mirror_candidates(targets[0], frac, cap)]
-    return _finish(targets, budget.kind, _lex_min(cands))
-
-
 def _qualifying_dens(
     den_cap: int, x_lo: float, x_hi: float, opt_hi_f: float, enum_cap: int
 ) -> List[int]:
@@ -588,16 +568,12 @@ def _qualifying_dens(
     return [int(q) for q in qs[lo <= opt_hi_f * (1.0 + _SLOP) + 1e-300]]
 
 
-def _fast_ties(targets, kind, cap, opt: ErrVal, enum_cap):
-    """Every admissible point whose certified error equals opt's.
+def _fast_ties(targets, cap, opt: ErrVal, enum_cap):
+    """Every point whose certified error equals opt's, under prod or prod_root.
 
-    Under max each coordinate's candidates come from a Farey walk
-    (``_farey_ties``).  Under prod and prod_root a float scan over the
-    denominators keeps those that may reach opt, and ``_collect_ties``
-    certifies the points over their tuples.
+    A float scan over each coordinate's denominators keeps those that may
+    reach opt, and ``_collect_ties`` certifies the points over their tuples.
     """
-    if kind is HeightKind.MAX:
-        return _farey_ties(targets, cap, opt, enum_cap)
     opt_hi_f = opt.champion().float_bounds()[1]
     # opt is the frontier walk's last tuple, so each of its denominators q_i
     # is the smallest one reaching error <= opt in its coordinate.  A tuple
@@ -630,72 +606,72 @@ def _fast_ties(targets, kind, cap, opt: ErrVal, enum_cap):
     return _collect_ties(targets, tuples, opt)
 
 
-def _farey_next(a: int, b: int, c: int, e: int, n: int) -> Tuple[int, int]:
-    """The term after c/e in the Farey sequence of order n, where a/b < c/e
-    are consecutive there (Hardy and Wright, ch. III; Graham, Knuth and
-    Patashnik, section 4.5)."""
-    k = (n + b) // e
-    return k * c - a, k * e - b
+def _simplest(lo: Fraction, hi: Fraction) -> Fraction:
+    """The simplest fraction in [lo, hi], for 0 <= lo <= hi: the smallest
+    integer >= lo if it is <= hi, else floor(lo) + 1/s with s the simplest
+    fraction in [1/(hi - floor(lo)), 1/(lo - floor(lo))].  It runs as a loop
+    on integers: no recursion limit and no gcd per step."""
+    a, b, c, e = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    terms: List[int] = []
+    while -(-a // b) * e > c:
+        f = a // b
+        terms.append(f)
+        a, b, c, e = e, c - f * e, b, a - f * b
+    p, q = -(-a // b), 1
+    for f in reversed(terms):
+        p, q = f * p + q, p
+    return Fraction(p, q)
 
 
-def _farey_ties(targets, cap: int, opt: ErrVal, enum_cap: int):
-    """Max-height points tying opt, from a Farey walk in each coordinate.
-
-    opt takes each coordinate's best entry at cap, so no point has an error
-    below E* = err(opt), and the ties are all the points whose coordinates
-    lie within E* of x: the product of the coordinates' candidate lists.
-    Coordinate i walks the Farey sequence of order cap both ways from opt's
-    own coordinate p/q, a candidate, and each side stops at its first term
-    whose certified error exceeds E*.  This finds every candidate, and only
-    candidates:
-
-    - the terms between p/q and x_i are nearer x_i than p/q, so within E*,
-      and past x_i the errors grow strictly outward, so no term past the
-      first one beyond E* comes back within E*;
-    - Farey terms are reduced fractions, and every reduced fraction with
-      denominator <= cap is one of them;
-    - a coordinate's best entry at cap is within 1/(cap + 1) of x_i (Dirichlet),
-      so E* <= 1/(cap + 1), and a p/q within E* has |q*x_i - p| < 1: p is one
-      of the two integers nearest q*x_i, the coprime numerators that the
-      per-denominator candidates (``_nearest_ps``) range over.
-
-    The left neighbour a/b of p/q has p*b - a*q = 1 with b the largest such
-    denominator <= cap.  A walk's length is the number of its candidates
-    plus two, so the ``enum_cap`` guard on the number of points bounds it too.
-    """
+def _simplest_point(targets, opt: ErrVal) -> Tuple[Fraction, ...]:
+    """Each coordinate's simplest fraction within opt's error E* of x_i: the
+    lex-min point tying opt when the cap bounds each denominator (the
+    argument is in ``fast_best``'s docstring)."""
     champ = opt.champion()
     # certified intervals start from 192-bit enclosures (``_finish``); taking
     # them first keeps a comparison they decide from refining past them,
     # which would narrow the interval that ``_finish`` certifies
     for t in targets:
         refine(t, min(192, t.budget))
-    kept: List[List[Fraction]] = []
-    size = 1
-    for t, start in zip(targets, opt.point):
-        p, q = start.numerator, start.denominator
-        b = cap - (cap - pow(p, -1, q)) % q
-        a = (p * b - 1) // q
-        c, e = _farey_next(a, b, p, q, cap)
-        cands = [start]
-        # rightward after p/q; leftward is rightward after -p/q for -x
-        for sign, (u, v, w, z) in ((1, (a, b, p, q)), (-1, (-c, e, -p, q))):
-            while True:
-                u, v, (w, z) = w, z, _farey_next(u, v, w, z, cap)
-                frac = Fraction(sign * w, z)
-                if _cmp_atoms(_Atom(t, frac), champ) > 0:
-                    break
-                cands.append(frac)
-                if size * len(cands) > enum_cap:
-                    raise CapExceededError("tie candidate points exceed enumeration cap")
-        kept.append(cands)
-        size *= len(cands)
-    return set(iter_product(*kept))
+    point = []
+    for t in targets:
+        for bits in precisions(192, max(t.budget, champ.budget)):
+            x = refine(t, min(bits, t.budget))
+            e = champ.interval(bits).upper
+            c = _simplest(max(x.lower - e, Fraction(0)), x.upper + e)
+            if _cmp_atoms(_Atom(t, c), champ) <= 0:
+                point.append(c)
+                break
+        else:
+            raise PrecisionExhaustedError(f"cannot certify the simplest tie of {t.key}")
+    return tuple(point)
 
 
 def fast_best(
     x: Sequence[RealTarget], budget: Budget, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> ApproxRecord:
     """Table-driven minimizer; same contract and output as brute_force_best.
+
+    Under max, and under every kind at d = 1, the optimum takes each
+    coordinate's best table entry at the cap, with error E*, and the answer
+    is each coordinate's simplest fraction in W_i = [x_i - E*, x_i + E*]:
+
+    - no point beats E*, so the ties are exactly the points whose every
+      coordinate lies within E* of x_i, with denominators within the cap;
+    - that set is a product over the coordinates, and the lex-min of a
+      product is each coordinate's (numerator, denominator) minimum;
+    - in a window of nonnegative reals the simplest fraction minimises both
+      p and q (Stern-Brocot; Graham, Knuth and Patashnik, section 4.5), so
+      its q is at most the optimum's q_i <= cap, and it is admissible;
+    - targets lie in [0, 1) and E* <= 1/(cap + 1) (Dirichlet), so no fraction
+      with a negative numerator and q <= cap lies within E*, and clamping
+      the window at 0 drops nothing;
+    - the window taken from enclosures, widened by E*'s upper bound, contains
+      W_i, so once its simplest fraction c certifiably lies within E*,
+      nothing simpler than c lies in W_i: c is W_i's simplest fraction.
+
+    Product ties at d >= 2 come from a float scan (``_fast_ties``) over the
+    frontier walk's optimum, and lcm ties from ``_lcm_opt``.
 
     The returned error interval is certified from the targets' tightest
     enclosures so far, so it depends on how far earlier calls refined the
@@ -707,20 +683,16 @@ def fast_best(
     if kind is HeightKind.MIN:
         raise UnboundedSearchError("min height bounds only one coordinate")
     d = len(targets)
-    if d == 1:
-        return _fast_d1(targets, budget)
-
     cap = _den_cap(budget, d)
-
+    if kind is HeightKind.MAX or d == 1:
+        opt = ErrVal(targets, [_BestTable(t).best_at(cap)[1] for t in targets])
+        return _finish(targets, kind, _simplest_point(targets, opt))
     if kind is HeightKind.LCM:
         _, ties = _lcm_opt(targets, cap, enum_cap)
     else:
-        if kind is HeightKind.MAX:
-            opt = ErrVal(targets, [_BestTable(t).best_at(cap)[1] for t in targets])
-        else:
-            # the staircase ends at the cheapest tuple reaching the optimum
-            opt = _last_record(_frontier(targets, kind, cap, enum_cap))
-        ties = _fast_ties(targets, kind, cap, opt, enum_cap)
+        # the staircase ends at the cheapest tuple reaching the optimum
+        opt = _last_record(_frontier(targets, kind, cap, enum_cap))
+        ties = _fast_ties(targets, cap, opt, enum_cap)
     if not ties:
         # the optimum's own point must be in the tie set; missing it means a
         # candidate sweep lost a point that the certified comparison keeps

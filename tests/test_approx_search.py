@@ -18,11 +18,12 @@ from heightlab.approx_search import (
     _cmp_atoms,
     _coord_float_bounds,
     _coord_options,
-    _fast_ties,
     _filter_bounds,
     _lcm_bounds,
     _lcm_scan,
+    _lex_min,
     _nearest_ps,
+    _simplest,
     _tuple_best,
     brute_force_best,
     fast_best,
@@ -687,14 +688,14 @@ def _max_opt(targets, cap):
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 7, 50, 999, 3000, 10 ** 5])
 @pytest.mark.parametrize("d", [2, 3])
-def test_farey_max_ties_match_float_scan(d, cap):
+def test_max_ties_match_float_scan(d, cap):
     # fresh targets on each side: certified intervals depend on how far a
     # target was refined before
     for seed in range(60):
-        x = sample_uniform(seed, d)
-        ties = _fast_ties(x, HeightKind.MAX, cap, _max_opt(x, cap), DEFAULT_ENUM_CAP)
+        rec = fast_best(sample_uniform(seed, d), Budget(HeightKind.MAX, HeightValue(cap)))
         y = sample_uniform(seed, d)
-        assert ties == _float_scan_max_ties(y, cap, _max_opt(y, cap)), seed
+        assert rec.point == _lex_min(_float_scan_max_ties(y, cap, _max_opt(y, cap))), seed
+        assert rec.error == _max_opt(sample_uniform(seed, d), cap).certified_interval(), seed
 
 
 def _fraction_oracle_max(coords, cap):
@@ -731,16 +732,26 @@ def _fraction_oracle_max(coords, cap):
         (Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(1, 3)),
         (Fraction(5, 11), Fraction(0), Fraction(9, 13)),
+        # one coordinate, with the same mirror ties, under every kind
+        (Fraction(1, 4),),
+        (Fraction(5, 12),),
+        (Fraction(3, 10),),
+        (Fraction(1, 6),),
+        (Fraction(0),),
+        (Fraction(2, 7),),
     ],
 )
 def test_fast_max_matches_fraction_oracle(coords):
+    # at d = 1 every kind bounds the one denominator by the cap
+    kinds = SEARCH_KINDS if len(coords) == 1 else [HeightKind.MAX]
     x = tuple(RationalTarget(f) for f in coords)
     for cap in range(1, 15):
         point, best = _fraction_oracle_max(coords, cap)
-        rec = fast_best(x, Budget(HeightKind.MAX, HeightValue(cap)))
-        assert rec.point == point, cap
-        assert rec.error.lower == rec.error.upper == best, cap
-        assert rec.height == height(point, HeightKind.MAX), cap
+        for kind in kinds:
+            rec = fast_best(x, Budget(kind, HeightValue(cap)))
+            assert rec.point == point, (cap, kind)
+            assert rec.error.lower == rec.error.upper == best, (cap, kind)
+            assert rec.height == height(point, kind), (cap, kind)
 
 
 class _DyadicTarget(RealTarget):
@@ -768,19 +779,76 @@ def test_fast_max_certificate_survives_a_close_race():
     assert rec == brute_force_best((_DyadicTarget(x0), _DyadicTarget(x1)), b)
 
 
-def test_farey_tie_product_counts_against_the_cap():
-    # 0/1 and 1/2 both tie 1/4 in each coordinate: four tied points
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.fractions(min_value=0, max_value=3, max_denominator=10 ** 4),
+    width=st.fractions(min_value=0, max_value=Fraction(1, 10), max_denominator=10 ** 6),
+)
+def test_simplest_is_the_first_fraction_of_a_denominator_scan(lo, width):
+    # the smallest q with an integer in [q*lo, q*hi], and the smallest such p
+    hi = lo + width
+    q = 1
+    while math.ceil(lo * q) > hi * q:
+        q += 1
+    assert _simplest(lo, hi) == Fraction(math.ceil(lo * q), q)
+
+
+def test_fast_max_rejects_a_simpler_fraction_just_outside_the_window():
+    # coordinate 1's window [1/2 + 2^-200/3, 3/5 - ...] just misses 1/2, which
+    # the 192-bit window still holds: the certified comparison must turn it
+    # down, leaving 4/7, the simplest fraction inside
+    e_star = Fraction(1, 20) - Fraction(1, 10 ** 6 + 3)
+    x1 = Fraction(1, 2) + e_star + Fraction(1, 3 * 2 ** 200)
+    b = Budget(HeightKind.MAX, HeightValue(10))
+    rec = fast_best((_DyadicTarget(e_star), _DyadicTarget(x1)), b)
+    assert rec.point == (Fraction(0), Fraction(4, 7))
+    assert rec.point == brute_force_best((_DyadicTarget(e_star), _DyadicTarget(x1)), b).point
+    assert rec.error.lower <= e_star <= rec.error.upper
+
+
+@pytest.mark.parametrize("cap", [10, 1000, 10 ** 6])
+def test_fast_max_repeated_target_refined_further_in_one_copy(cap):
+    # both coordinates have the same window, whose simplest fraction is the
+    # optimum's own coordinate at its edge; the second copy's tighter
+    # enclosure must not push that edge out of the second window
+    deeper = golden_target()
+    deeper.enclosure(1024)
+    rec = fast_best((golden_target(), deeper), Budget(HeightKind.MAX, HeightValue(cap)))
+    assert rec.point[0] == rec.point[1]
+
+
+def test_max_ties_need_no_enumeration_cap():
+    # 0/1 and 1/2 both tie 1/4 in each coordinate; the answer is each
+    # coordinate's simplest tie, with no tie set to count against the cap
     x = (RationalTarget(Fraction(1, 4)), RationalTarget(Fraction(1, 4)))
     b = Budget(HeightKind.MAX, HeightValue(2))
-    assert fast_best(x, b, enum_cap=4).point == (Fraction(0), Fraction(0))
-    with pytest.raises(CapExceededError):
-        fast_best(x, b, enum_cap=3)
+    assert fast_best(x, b, enum_cap=1).point == (Fraction(0), Fraction(0))
+
+
+def test_max_fast_best_on_402500_tied_points():
+    # E* is 1.1e-4, as the third coordinate sits near 2999/3000, so 402 500
+    # points tie; the expected record is the one the full tie product gave
+    start = time.perf_counter()
+    rec = fast_best(sample_uniform(51, 3), Budget(HeightKind.MAX, HeightValue(3000)))
+    assert time.perf_counter() - start < 1
+    assert rec.point == (Fraction(83, 85), Fraction(3, 137), Fraction(2999, 3000))
+    assert rec.error == Interval(
+        Fraction(
+            135292947395899253576777114554892363970462585433903277431,
+            1176956575385002643219210516851437453019191645837006471168000,
+        ),
+        Fraction(
+            270585894791798507153554229109784727940925170867806555237,
+            2353913150770005286438421033702874906038383291674012942336000,
+        ),
+    )
+    assert rec.height == HeightValue(3000)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_max_fast_best_reaches_a_trillion(d):
-    # the tie walk's cost does not grow with the cap, which lies far past
-    # the default enumeration cap here
+    # the simplest-fraction descent's cost does not grow with the cap, which
+    # lies far past the default enumeration cap here
     cap = 10 ** 12
     start = time.perf_counter()
     for seed in range(5):
