@@ -300,13 +300,15 @@ class _BestTable:
 
 
 def _validate_targets(x: Sequence[RealTarget]) -> Tuple[RealTarget, ...]:
+    """Fresh copies of the targets: a certified interval then depends only on
+    the call's arguments, and the caller's targets are never refined."""
     targets = tuple(x)
     if not targets:
         raise ValueError("need at least one coordinate")
     for t in targets:
         if not isinstance(t, RealTarget):
             raise TypeError("coordinates must be RealTarget instances")
-    return targets
+    return tuple(t.clone() for t in targets)
 
 
 def _den_cap(budget: Budget, d: int) -> int:
@@ -673,10 +675,8 @@ def fast_best(
     Product ties at d >= 2 come from a float scan (``_fast_ties``) over the
     frontier walk's optimum, and lcm ties from ``_lcm_opt``.
 
-    The returned error interval is certified from the targets' tightest
-    enclosures so far, so it depends on how far earlier calls refined the
-    passed targets: pass fresh targets, or ``clone()``s, for reproducible
-    certificates.
+    Each call works on fresh copies of the targets, so its result depends
+    only on its arguments.
     """
     targets = _validate_targets(x)
     kind = budget.kind
@@ -726,9 +726,8 @@ def records(
     of 1/D nearest x_i.  They come from the same single pass (``_lcm_opt``)
     that gives ``fast_best`` its lcm optimum and tie set.
 
-    Error intervals are certified from the targets' tightest enclosures so
-    far, so they depend on how far earlier calls refined the passed targets:
-    pass fresh targets, or ``clone()``s, for reproducible certificates.
+    Each call works on fresh copies of the targets, so its result depends
+    only on its arguments.
     """
     return [
         ApproxRecord(ev.point, ev.certified_interval(), hv)
@@ -1036,11 +1035,11 @@ def solutions_count(
 def _solution_ps(target: RealTarget, q: int, hbase: int, tau: Fraction) -> List[int]:
     """Numerators p coprime to q with |x - p/q| < hbase**(-tau), certified."""
     e = refine(target, min(128, target.budget))
-    mid = float((e.lower + e.upper) / 2)
-    center = mid * q
-    rad = q * float(hbase) ** (-float(tau)) + 2
+    # iroot rounds down, so r >= hbase**(-tau): a solution's p/q lies within r
+    # of x, hence in (e.lower - r, e.upper + r), and p inside the scanned range
+    r = Fraction(1, iroot(hbase ** tau.numerator, tau.denominator))
     out = []
-    for p in range(math.floor(center - rad), math.ceil(center + rad) + 1):
+    for p in range(math.floor(q * (e.lower - r)), math.ceil(q * (e.upper + r)) + 1):
         if math.gcd(p, q) != 1:
             continue
         if _err_beats_power(_Atom(target, Fraction(p, q)), hbase, tau):

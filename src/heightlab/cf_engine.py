@@ -233,7 +233,9 @@ class GapCertificate:
 
 
 def gap_inequality_check(table: ConvergentTable, target: RealTarget, n: int) -> GapCertificate:
-    """Certify the error gap around convergent n (needs row n + 1)."""
+    """Certify the error gap around convergent n (needs row n + 1), on a fresh
+    copy of the target, so the certified interval depends only on the
+    arguments."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n + 1 > len(table):
@@ -247,6 +249,7 @@ def gap_inequality_check(table: ConvergentTable, target: RealTarget, n: int) -> 
     strict_lower = Fraction(1, 3 * nxt.a * cur.q * cur.q)
     band_lower = Fraction(1, 2 * cur.q * nxt.q)
     band_upper = Fraction(1, cur.q * nxt.q)
+    target = target.clone()
     for bits in precisions(64, target.budget):
         err = refine(target, bits).distance(value)
         if (

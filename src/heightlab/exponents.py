@@ -25,21 +25,8 @@ exact, because every record at height H >= 2 has a usable quotient:
   (``HeightValue.log_height``).
 
 ``_quotient`` raises ``AssertionError`` should a record break this.
-
-A target returns the tightest enclosure it has computed, so a certified
-interval depends on the precision reached before it, and ``records``
-certifies each record as the walk reaches it.  So the entries of a
-``last`` trace come from ``records`` run on copies of the targets taken
-before the walk: they equal the eager intervals even where the walk or the
-last record refined past the 192 bits a certificate starts at.  The last
-record's lone certificate equals the one ``records`` gives it unless some
-earlier certificate refined a target further than the walk and the last
-certificate do.  Earlier records have larger errors, so they reach the
-relative width 2**-40 at no more precision unless their enclosures are
-much wider at equal precision; no such case is known.
 """
 
-import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -104,15 +91,13 @@ _Value = Callable[[HeightValue, Interval], Interval]
 
 
 def _quotient(height: HeightValue, err: Interval) -> Interval:
-    e_lo, e_hi = err.lower, err.upper
-    if e_lo <= 0 or e_hi >= 1:
+    if err.lower <= 0 or err.upper >= 1:
         raise AssertionError(f"record at height {height} has error {err} outside (0, 1)")
-    num_lo = -ln_enclosure(e_hi, bits=_LOG_BITS).upper
-    num_hi = -ln_enclosure(e_lo, bits=_LOG_BITS).lower
+    ln_err = ln_enclosure(err, bits=_LOG_BITS)
     den = height.log_height(_LOG_BITS)
     if den.lower <= 0:
         raise AssertionError(f"record height {height} has no positive log")
-    return Interval(num_lo / den.upper, num_hi / den.lower)
+    return Interval(-ln_err.upper / den.upper, -ln_err.lower / den.lower)
 
 
 def _tail_len(heights: Iterable[HeightValue], warmup: int) -> int:
@@ -140,14 +125,13 @@ def _read(
     eager = partial(_eager_entries, kind=walk_kind, height_cap=height_cap,
                     enum_cap=enum_cap, value=value)
     if reducer == "last":
-        before = tuple(copy.copy(t) for t in x)
         walk = [r for r in _record_walk(x, walk_kind, height_cap, enum_cap) if r[0] >= _TWO]
         _tail_len((hv for hv, _ in walk), warmup)
         hv, ev = walk[-1]
         return cls(
             estimate=value(hv, ev.certified_interval()),
             n_entries=len(walk),
-            _eager=partial(eager, before),
+            _eager=partial(eager, x),
             **fields,
         )
     entries = eager(x)

@@ -8,6 +8,7 @@ decisive, so floating point never influences a search result.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 from dataclasses import dataclass
@@ -103,7 +104,11 @@ class RealTarget:
         return self._best
 
     def clone(self) -> "RealTarget":
-        raise NotImplementedError
+        """The same target with no enclosure computed yet.  A copy shares only
+        caches of exact data, such as ``BitsTarget``'s hash blocks."""
+        c = copy.copy(self)
+        c._best, c._best_bits = None, -1
+        return c
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(key={self.key!r})"
@@ -142,9 +147,6 @@ class RationalTarget(RealTarget):
 
     def _raw_enclosure(self, bits: int) -> Interval:
         return Interval(self._value, self._value)
-
-    def clone(self) -> "RationalTarget":
-        return RationalTarget(self._value, self.budget)
 
 
 class CFTarget(RealTarget):
@@ -190,9 +192,6 @@ class CFTarget(RealTarget):
             lo, hi = hi, lo
         return Interval(lo, hi)
 
-    def clone(self) -> "CFTarget":
-        return CFTarget(self._name, self._quotient_fn, self.budget)
-
 
 class BitsTarget(RealTarget):
     """Uniform draw from [0, 1) whose bits come from a keyed hash counter."""
@@ -223,9 +222,6 @@ class BitsTarget(RealTarget):
         den = 1 << bits
         return Interval(Fraction(k, den), Fraction(k + 1, den))
 
-    def clone(self) -> "BitsTarget":
-        return BitsTarget(self._seed, self._index, self.budget)
-
 
 class LiouvilleTarget(RealTarget):
     """The classical rapidly-converging series sum(10**-factorial(n))."""
@@ -240,9 +236,6 @@ class LiouvilleTarget(RealTarget):
         partial = liouville_truncation(n)
         tail = Fraction(2, 10 ** math.factorial(n + 1))
         return Interval(partial, partial + tail)
-
-    def clone(self) -> "LiouvilleTarget":
-        return LiouvilleTarget(self.budget)
 
 
 def liouville_truncation(n: int) -> Fraction:
@@ -343,11 +336,15 @@ def _mpf_to_fraction(t: tuple) -> Fraction:
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def ln_enclosure(value: Union[int, Fraction], bits: int = 128) -> Interval:
-    """Certified enclosure of ln(value), value > 0."""
-    if value <= 0:
+def ln_enclosure(value: Union[int, Fraction, Interval], bits: int = 128) -> Interval:
+    """Certified enclosure of ln(value), value > 0, or of ln over an
+    exact-rational interval of positive reals: from the log of the lower end's
+    floor bound to the log of the upper end's ceiling bound."""
+    ends = (value.lower, value.upper) if isinstance(value, Interval) else (value,)
+    if ends[0] <= 0:
         raise ValueError("ln requires a positive argument")
-    lo, hi = _mpf_bounds(value, bits)
+    bounds = [_mpf_bounds(v, bits) for v in ends]
+    lo, hi = bounds[0][0], bounds[-1][1]
     return Interval(
         _mpf_to_fraction(mpf_log(lo, bits, _FLOOR)), _mpf_to_fraction(mpf_log(hi, bits, _CEIL))
     )

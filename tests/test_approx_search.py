@@ -24,6 +24,7 @@ from heightlab.approx_search import (
     _lex_min,
     _nearest_ps,
     _simplest,
+    _simplest_point,
     _tuple_best,
     brute_force_best,
     fast_best,
@@ -31,7 +32,9 @@ from heightlab.approx_search import (
     records,
     solutions_count,
 )
+from heightlab.cf_engine import expand, gap_inequality_check
 from heightlab.errors import CapExceededError, PrecisionExhaustedError, UnboundedSearchError
+from heightlab.exponents import constant_estimate, omega_estimate
 from heightlab.heights import HeightKind, HeightValue, height
 from heightlab.numerics import (
     BitsTarget,
@@ -815,6 +818,11 @@ def test_fast_max_repeated_target_refined_further_in_one_copy(cap):
     deeper.enclosure(1024)
     rec = fast_best((golden_target(), deeper), Budget(HeightKind.MAX, HeightValue(cap)))
     assert rec.point[0] == rec.point[1]
+    # fast_best works on fresh copies, so give the rule the refined copy itself
+    x = (golden_target(), deeper)
+    opt = ErrVal(x, [_BestTable(t).best_at(cap)[1] for t in x])
+    assert _simplest_point(x, opt) == rec.point
+    assert deeper._best_bits >= 1024
 
 
 def test_max_ties_need_no_enumeration_cap():
@@ -858,3 +866,56 @@ def test_max_fast_best_reaches_a_trillion(d):
         assert rec.error == _max_opt(sample_uniform(seed, d), cap).certified_interval()
         assert rec.error.upper < Fraction(1, cap + 1)
     assert time.perf_counter() - start < 20
+
+
+def _trace_result(tr):
+    return tr.estimate, tr.n_entries, tr.entries
+
+
+# each certifying call, with the targets it takes: call(x) -> result
+_CERTIFYING_CALLS = {
+    "fast_best": (
+        lambda: sample_uniform(3, 2),
+        lambda x: fast_best(x, Budget(HeightKind.PROD, HeightValue(10 ** 4))),
+    ),
+    "brute_force_best": (
+        lambda: (golden_target(), sqrt2_target()),
+        lambda x: brute_force_best(x, Budget(HeightKind.MAX, HeightValue(30))),
+    ),
+    "records": (
+        lambda: (golden_target(),),
+        lambda x: records(x, HeightKind.MAX, HeightValue(10 ** 4)),
+    ),
+    "omega_estimate": (
+        lambda: (golden_target(), e_target()),
+        lambda x: _trace_result(omega_estimate(x, HeightKind.MIN, HeightValue(10 ** 6))),
+    ),
+    "constant_estimate": (
+        lambda: (golden_target(),),
+        lambda x: _trace_result(
+            constant_estimate(x, HeightKind.MAX, Fraction(2), HeightValue(10 ** 4))
+        ),
+    ),
+    "solutions_count": (
+        lambda: sample_uniform(1, 2),
+        lambda x: solutions_count(x, HeightKind.MAX, Fraction(2), HeightValue(30)),
+    ),
+    "gap_inequality_check": (
+        lambda: (BitsTarget(5, 0),),
+        lambda x: gap_inequality_check(expand(BitsTarget(5, 0), 12), x[0], 10),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFYING_CALLS))
+def test_certified_results_depend_only_on_the_arguments(name):
+    # targets first refined to 1024 bits give what fresh ones give, and the
+    # call leaves the passed targets as they were
+    make, call = _CERTIFYING_CALLS[name]
+    refined = make()
+    for t in refined:
+        t.enclosure(1024)
+    fresh = make()
+    assert call(refined) == call(fresh)
+    assert [t._best_bits for t in refined] == [1024] * len(refined)
+    assert [t._best_bits for t in fresh] == [-1] * len(fresh)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heightlab import exponents
-from heightlab.approx_search import ErrVal, records
+from heightlab.approx_search import DEFAULT_ENUM_CAP, ErrVal, _frontier, records
 from heightlab.errors import InsufficientDataError
 from heightlab.exponents import (
     TraceEntry,
@@ -294,14 +294,18 @@ def test_last_estimate_certifies_one_record_per_trace(monkeypatch, x, kind, trac
 
 @pytest.mark.parametrize("kind", [HeightKind.MAX, HeightKind.MIN])
 def test_last_trace_entries_match_in_order_certification_past_192_bits(kind):
-    # at cap 10^30 the last golden record is certified at 384 bits; read after
-    # it, the earlier records would get the tighter enclosure, where the eager
-    # trace certified them at 192 bits
+    # at cap 10^30 the last golden record is certified at 384 bits, past the
+    # 192 bits of the earlier ones; entries read after it must still equal
+    # the eager trace's
     x = (golden_target(), golden_target()) if kind is HeightKind.MIN else (golden_target(),)
+    # the premise, on one coordinate's walk run here on clones: the trace
+    # walks each coordinate under max, on copies of its own
+    y = tuple(t.clone() for t in x[:1])
+    walk = list(_frontier(y, HeightKind.MAX, 10 ** 30, DEFAULT_ENUM_CAP))
+    walk[-1][1].certified_interval()
+    assert y[0]._best_bits > 192
     tr = omega_estimate(x, kind, HeightValue(10 ** 30))
-    assert max(t._best_bits for t in x) > 192
-    y = tuple(t.clone() for t in x)
-    eager = omega_estimate(y, kind, HeightValue(10 ** 30), reducer="running_max")
+    eager = omega_estimate(x, kind, HeightValue(10 ** 30), reducer="running_max")
     assert tr.n_entries == len(eager.entries)
     assert tr.entries == eager.entries
     assert tr.estimate == eager.entries[-1].value

@@ -13,6 +13,7 @@ from heightlab.numerics import (
     Interval,
     LiouvilleTarget,
     RationalTarget,
+    RealTarget,
     e_target,
     exp_enclosure,
     golden_target,
@@ -217,11 +218,38 @@ def test_parse_target_rejects_garbage():
             parse_target(bad)
 
 
-def test_clone_is_independent_but_equal():
-    t = parse_target("seed:9")
-    c = t.clone()
-    assert c.key == t.key
-    assert refine(c, 128) == refine(t, 128)
+class _DyadicTarget(RealTarget):
+    """A target class that defines no ``clone``: the base class's serves."""
+
+    def __init__(self, value):
+        super().__init__(("dyadic", value))
+        self._value = value
+
+    def _raw_enclosure(self, bits):
+        k = math.floor(self._value * 2 ** bits)
+        return Interval(Fraction(k, 2 ** bits), Fraction(k + 1, 2 ** bits))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: RationalTarget(Fraction(2, 7)),
+        golden_target,
+        lambda: BitsTarget(9, 1),
+        LiouvilleTarget,
+        lambda: _DyadicTarget(Fraction(1, 3)),
+    ],
+    ids=["rational", "cf", "bits", "liouville", "no_clone"],
+)
+def test_clone_is_independent_but_equal(make):
+    # a clone of a refined target encloses as a fresh one does
+    t = make()
+    t.enclosure(1024)
+    c, fresh = t.clone(), make()
+    assert type(c) is type(t) and c.key == t.key
+    for bits in (64, 192, 1024):
+        assert c.enclosure(bits) == fresh.enclosure(bits)
+    assert t._best_bits == 1024
 
 
 # --- certified elementary functions -----------------------------------------
@@ -268,6 +296,17 @@ def test_pow_enclosure_int_base_negative_exponent_is_exact_fraction():
 @pytest.mark.parametrize("bits", [64, 128, 160, 192])
 def test_ln_enclosure_takes_ints(bits):
     assert ln_enclosure(7, bits) == ln_enclosure(Fraction(7), bits)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 160, 192])
+def test_ln_enclosure_of_an_interval_takes_its_endpoints_bounds(bits):
+    rng = random.Random(7100 + bits)
+    for _ in range(200):
+        a, b = sorted(_positive_argument(rng) for _ in range(2))
+        want = Interval(ln_enclosure(a, bits).lower, ln_enclosure(b, bits).upper)
+        assert ln_enclosure(Interval(Fraction(a), Fraction(b)), bits) == want, (a, b)
+    with pytest.raises(ValueError):
+        ln_enclosure(Interval(Fraction(0), Fraction(1)), bits)
 
 
 # --- bit identity with mpmath's interval context ------------------------------
