@@ -52,6 +52,13 @@ _CHUNK = 500_000
 _REL_WIDTH_BITS = 40
 # absorb float rounding slop in prefilters; exact phase re-decides everything
 _SLOP = 1e-13
+# start precision of certified error intervals and of the enclosures that
+# the float prefilters read.  The oracle's prefilter refines every target to
+# it before the oracle's first certified comparison, and ``_simplest_point``
+# does the same before its own, so a comparison that this precision decides
+# refines no further on either route.  One that needs more leaves a narrower
+# enclosure behind, and the certificate read off it can differ between routes.
+_CERT_BITS = 192
 
 
 @dataclass(frozen=True)
@@ -93,8 +100,8 @@ class _Atom:
             return Interval(self.exact, self.exact)
         return refine(self.target, min(bits, self.target.budget)).distance(self.frac)
 
-    def float_bounds(self, bits: int = 192) -> Tuple[float, float]:
-        iv = self.interval(bits)
+    def float_bounds(self) -> Tuple[float, float]:
+        iv = self.interval(_CERT_BITS)
         lo = max(0.0, math.nextafter(float(iv.lower), -math.inf))
         return lo, math.nextafter(float(iv.upper), math.inf)
 
@@ -173,7 +180,7 @@ class ErrVal:
 
     def certified_interval(self) -> Interval:
         budget = max((a.budget for a in self.atoms), default=0)
-        for bits in precisions(192, budget):
+        for bits in precisions(_CERT_BITS, budget):
             iv = self.interval(bits)
             if iv.lower == iv.upper:
                 return iv
@@ -328,57 +335,46 @@ def _den_cap(budget: Budget, d: int) -> int:
 # denominator grids (brute force)
 
 
-def _grid_max(d: int, cap: int, enum_cap: int) -> np.ndarray:
-    if cap ** d > enum_cap:
-        raise CapExceededError(f"{cap}^{d} denominator tuples exceed cap {enum_cap}")
-    axes = np.meshgrid(*([np.arange(1, cap + 1, dtype=np.int64)] * d), indexing="ij")
-    return np.stack([a.ravel() for a in axes], axis=1)
+def _grid_for(kind: HeightKind, d: int, cap: int, enum_cap: int) -> np.ndarray:
+    """Every denominator tuple that the budget admits, in lexicographic order.
 
-
-def _grid_prod(d: int, cap: int, enum_cap: int) -> np.ndarray:
+    The grid grows one column at a time: a row whose running key is k takes
+    each next denominator in 1..cap // k.  Under prod and prod_root the key is
+    the row's running product, so the rows are the tuples with product
+    <= cap.  Under max and lcm the key is 1, so the rows are the tuples with
+    every denominator <= cap, and under lcm a final mask keeps those with
+    lcm <= cap.  A column with more than enum_cap rows raises
+    CapExceededError.
+    """
+    if cap > enum_cap:
+        raise CapExceededError(f"{cap} denominators exceed enumeration cap {enum_cap}")
+    product = kind in (HeightKind.PROD, HeightKind.PROD_ROOT)
     rows = np.arange(1, cap + 1, dtype=np.int64).reshape(-1, 1)
-    prods = rows[:, 0].copy()
     for _ in range(d - 1):
-        counts = cap // prods
+        keys = rows.prod(axis=1) if product else np.ones(len(rows), np.int64)
+        counts = cap // keys
         total = int(counts.sum())
         if total > enum_cap:
-            raise CapExceededError(f"product grid exceeds enumeration cap {enum_cap}")
-        rep = np.repeat(np.arange(len(rows)), counts)
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        new_col = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + 1
-        rows = np.column_stack([rows[rep], new_col])
-        prods = prods[rep] * new_col
-    return rows
-
-
-def _grid_lcm(d: int, cap: int, enum_cap: int) -> np.ndarray:
-    if cap ** d > enum_cap:
-        raise CapExceededError(f"{cap}^{d} denominator tuples exceed cap {enum_cap}")
-    grid = _grid_max(d, cap, enum_cap)
-    mask = grid[:, 0]
-    for j in range(1, d):
-        mask = np.lcm(mask, grid[:, j])
-    return grid[mask <= cap]
-
-
-def _grid_for(kind: HeightKind, d: int, cap: int, enum_cap: int) -> np.ndarray:
-    if kind is HeightKind.MAX or d == 1:
-        return _grid_max(d, cap, enum_cap)
-    if kind in (HeightKind.PROD, HeightKind.PROD_ROOT):
-        return _grid_prod(d, cap, enum_cap)
+            raise CapExceededError(f"denominator grid exceeds enumeration cap {enum_cap}")
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        new_col = np.arange(1, total + 1, dtype=np.int64) - starts
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), new_col])
     if kind is HeightKind.LCM:
-        return _grid_lcm(d, cap, enum_cap)
-    raise UnboundedSearchError("min height bounds only one coordinate")
+        lcm = rows[:, 0]
+        for j in range(1, d):
+            lcm = np.lcm(lcm, rows[:, j])
+        rows = rows[lcm <= cap]
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # float prefilter
 
 
-def _coord_float_bounds(targets: Sequence[RealTarget], bits: int = 192):
+def _coord_float_bounds(targets: Sequence[RealTarget]):
     lows, highs = [], []
     for t in targets:
-        e = refine(t, min(bits, t.budget))
+        e = refine(t, min(_CERT_BITS, t.budget))
         lows.append(math.nextafter(float(e.lower), -math.inf))
         highs.append(math.nextafter(float(e.upper), math.inf))
     return lows, highs
@@ -630,14 +626,14 @@ def _simplest_point(targets, opt: ErrVal) -> Tuple[Fraction, ...]:
     lex-min point tying opt when the cap bounds each denominator (the
     argument is in ``fast_best``'s docstring)."""
     champ = opt.champion()
-    # certified intervals start from 192-bit enclosures (``_finish``); taking
-    # them first keeps a comparison they decide from refining past them,
-    # which would narrow the interval that ``_finish`` certifies
+    # certified intervals start from _CERT_BITS enclosures (``_finish``);
+    # taking them first keeps a comparison they decide from refining past
+    # them, which would narrow the interval that ``_finish`` certifies
     for t in targets:
-        refine(t, min(192, t.budget))
+        refine(t, min(_CERT_BITS, t.budget))
     point = []
     for t in targets:
-        for bits in precisions(192, max(t.budget, champ.budget)):
+        for bits in precisions(_CERT_BITS, max(t.budget, champ.budget)):
             x = refine(t, min(bits, t.budget))
             e = champ.interval(bits).upper
             c = _simplest(max(x.lower - e, Fraction(0)), x.upper + e)

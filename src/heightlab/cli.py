@@ -409,11 +409,13 @@ def _cmd_experiment(args) -> int:
     if name == "khintchine":
         if args.d is None or args.kind is None:
             raise UsageError("khintchine needs --d and --kind")
+        if args.tau is not None:
+            raise UsageError("khintchine takes no --tau: its trials estimate the exponent")
         cfg = RunConfig(
             name="khintchine",
             d=args.d,
             kind=_kind(args.kind),
-            tau=_tau(args.tau) if args.tau is not None else None,
+            tau=None,
             base_seed=args.seed if args.seed is not None else 0,
             trials=args.trials if args.trials is not None else 20,
             height_cap=_bound(args.cap) if args.cap is not None else HeightValue(10 ** 6),

@@ -2,7 +2,7 @@
 
 Each test exercises one end-to-end guarantee at production scale and records
 a single PASS/FAIL summary line; conftest prints the collected lines after
-the run.  The suite is slow by design (about ten minutes); run it alone with
+the run.  The eight checks take about 30 s on 2 cores; run them alone with
 
     pytest tests/test_acceptance.py -v
 """

@@ -19,6 +19,7 @@ from heightlab.approx_search import (
     _coord_float_bounds,
     _coord_options,
     _filter_bounds,
+    _grid_for,
     _lcm_bounds,
     _lcm_scan,
     _lex_min,
@@ -126,6 +127,35 @@ def test_enumeration_cap_guard():
     x = sample_uniform(5, 3)
     with pytest.raises(CapExceededError):
         brute_force_best(x, Budget(HeightKind.MAX, HeightValue(300)), enum_cap=10 ** 6)
+
+
+def _admits(kind, dens, cap):
+    if kind in (HeightKind.PROD, HeightKind.PROD_ROOT):
+        return math.prod(dens) <= cap
+    if kind is HeightKind.LCM:
+        return math.lcm(*dens) <= cap
+    return max(dens) <= cap
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize(
+    "kind", [HeightKind.MAX, HeightKind.PROD, HeightKind.PROD_ROOT, HeightKind.LCM]
+)
+def test_grid_is_the_admissible_denominator_tuples_in_order(kind, d):
+    # the oracle compares rows in grid order, so the order is part of the
+    # contract, not only the set of rows
+    product_kind = kind in (HeightKind.PROD, HeightKind.PROD_ROOT)
+    for cap in (1, 2, 3, 7, 12, 30):
+        tuples = list(itertools.product(range(1, cap + 1), repeat=d))
+        want = [t for t in tuples if _admits(kind, t, cap)]
+        # the guard counts the widest column before lcm's mask: every tuple
+        # of entries <= cap, or under prod every tuple of product <= cap
+        widest = len(want) if product_kind else cap ** d
+        grid = _grid_for(kind, d, cap, widest)
+        assert grid.dtype == np.int64 and grid.shape == (len(want), d)
+        assert list(map(tuple, grid.tolist())) == want
+        with pytest.raises(CapExceededError):
+            _grid_for(kind, d, cap, widest - 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -426,6 +456,22 @@ def test_precision_exhaustion_messages_at_small_budgets():
     assert str(err.value) == "target ('seed', 1, 0): 64 bits requested, budget is 32"
 
 
+def test_certified_interval_at_the_budget_end():
+    t = BitsTarget(7, 0, budget=200)
+    x = t.clone().enclosure(200)
+    # a point 2^-170-close to x: 200 bits leave the relative width near
+    # 2^-30, so the budget runs out and the last interval is returned, away
+    # from 0 as the exponents module's soundness argument needs
+    p = Fraction(math.floor(x.lower * 2 ** 170), 2 ** 170)
+    iv = ErrVal((t,), (p,)).certified_interval()
+    assert iv == x.distance(p)
+    assert iv.lower > 0 and iv.width > iv.lower / 2 ** 40
+    # the centre of the last enclosure: its interval touches 0 at the budget
+    c = (x.lower + x.upper) / 2
+    with pytest.raises(PrecisionExhaustedError, match="still touches 0 at 200 bits"):
+        ErrVal((t,), (c,)).certified_interval()
+
+
 @pytest.mark.parametrize(
     "coords",
     [
@@ -584,6 +630,15 @@ def test_min_kind_witness_counts():
         assert solutions_count(a, HeightKind.MIN, tau, HeightValue(cap)) == 4
     b = (golden_target(), sqrt2_target())
     assert solutions_count(b, HeightKind.MIN, tau, HeightValue(10 ** 3)) == 4
+
+
+def test_min_witness_without_a_partner_within_aux_cap_is_dropped():
+    # golden's two q = 1 witnesses need liouville's first convergent, 1/9,
+    # as partner; below aux_cap 9 the partner search gives up and drops them
+    x = (liouville_target(), golden_target())
+    tau, cap = Fraction(5), HeightValue(10 ** 3)
+    assert solutions_count(x, HeightKind.MIN, tau, cap, aux_cap=8) == 2
+    assert solutions_count(x, HeightKind.MIN, tau, cap, aux_cap=9) == 4
 
 
 def _fraction_count(coords, kind, tau, cap):

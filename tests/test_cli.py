@@ -202,6 +202,24 @@ def test_experiment_khintchine_band(capsys):
     assert "passes=True" in out
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+def test_experiment_khintchine_rejects_tau(tmp_path, capsys, via_config):
+    # no khintchine trial reads a tau, so one given is a usage error, not a
+    # value silently written into the run's config
+    argv = ["experiment", "--name", "khintchine", "--d", "2", "--kind", "max",
+            "--trials", "1", "--workers", "1"]
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau = 3\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--tau", "3"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--tau" in err
+
+
 def test_experiment_minsplit_reports_predicate_failure(capsys):
     code, out, err = run(capsys, "experiment", "--name", "minsplit", "--tau", "5",
                          "--schedule", "1000,100000")
