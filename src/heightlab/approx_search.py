@@ -52,12 +52,7 @@ _CHUNK = 500_000
 _REL_WIDTH_BITS = 40
 # absorb float rounding slop in prefilters; exact phase re-decides everything
 _SLOP = 1e-13
-# start precision of certified error intervals and of the enclosures that
-# the float prefilters read.  The oracle's prefilter refines every target to
-# it before the oracle's first certified comparison, and ``_simplest_point``
-# does the same before its own, so a comparison that this precision decides
-# refines no further on either route.  One that needs more leaves a narrower
-# enclosure behind, and the certificate read off it can differ between routes.
+# start precision of certified error intervals and of the float prefilters
 _CERT_BITS = 192
 
 
@@ -513,7 +508,9 @@ def _lex_min(points: Iterable[Tuple[Fraction, ...]]) -> Tuple[Fraction, ...]:
 
 
 def _finish(targets, kind: HeightKind, point) -> ApproxRecord:
-    ev = ErrVal(targets, point)
+    """The answer's record, certified on fresh copies of the targets: its
+    interval depends only on (targets, point), not on the search's refinement."""
+    ev = ErrVal([t.clone() for t in targets], point)
     return ApproxRecord(ev.point, ev.certified_interval(), height(ev.point, kind))
 
 
@@ -626,11 +623,6 @@ def _simplest_point(targets, opt: ErrVal) -> Tuple[Fraction, ...]:
     lex-min point tying opt when the cap bounds each denominator (the
     argument is in ``fast_best``'s docstring)."""
     champ = opt.champion()
-    # certified intervals start from _CERT_BITS enclosures (``_finish``);
-    # taking them first keeps a comparison they decide from refining past
-    # them, which would narrow the interval that ``_finish`` certifies
-    for t in targets:
-        refine(t, min(_CERT_BITS, t.budget))
     point = []
     for t in targets:
         for bits in precisions(_CERT_BITS, max(t.budget, champ.budget)):

@@ -227,13 +227,13 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             raise UsageError(f"bad config line {raw.rstrip()!r}")
         dest = key.strip().replace("-", "_")
         value = value.strip()
-        if dest == "target":
-            if getattr(args, "target", None) is None and hasattr(args, "target"):
-                args.target = [v.strip() for v in value.split(",") if v.strip()]
-            continue
         action = actions.get(dest) if hasattr(args, dest) else None
         if action is None:
             raise UsageError(f"unknown config key {key.strip()!r}")
+        if dest == "target":
+            if args.target is None:
+                args.target = [v.strip() for v in value.split(",") if v.strip()]
+            continue
         if getattr(args, dest) == action.default:  # explicit flags win
             setattr(args, dest, _config_value(action, key.strip(), value))
 

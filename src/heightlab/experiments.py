@@ -148,6 +148,8 @@ def khintchine_experiment(cfg: RunConfig, workers: Optional[int] = None) -> RunR
     and report the distribution of final estimates."""
     if cfg.d < 2:
         raise ValueError("need d >= 2")
+    if cfg.trials < 1:
+        raise ValueError("need trials >= 1")
     if cfg.kind not in (HeightKind.MAX, HeightKind.PROD_ROOT, HeightKind.MIN):
         raise ValueError(f"unsupported kind {cfg.kind.name.lower()}")
     started = time.perf_counter()

@@ -84,14 +84,6 @@ class HeightValue:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "root", root)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HeightValue):
-            return NotImplemented
-        return self.base == other.base and self.root == other.root
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.root))
-
     def __lt__(self, other: "HeightValue") -> bool:
         if not isinstance(other, HeightValue):
             return NotImplemented

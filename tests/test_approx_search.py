@@ -623,6 +623,16 @@ def test_liouville_quintic_count_is_trivial_below_huge_caps():
     assert solutions_count(x, HeightKind.MAX, Fraction(5), HeightValue(10 ** 7)) == 2
 
 
+def test_one_coordinate_count_guards_its_direct_window_scan():
+    # tau = 3/2 < 2 leaves no Legendre threshold, so every q <= 1000 is
+    # scanned directly, and each q costs at least one unit of the cap
+    x = sample_uniform(3, 1)
+    tau, cap = Fraction(3, 2), HeightValue(1000)
+    assert solutions_count(x, HeightKind.MAX, tau, cap) == 77
+    with pytest.raises(CapExceededError, match="direct window enumeration"):
+        solutions_count(x, HeightKind.MAX, tau, cap, enum_cap=1000)
+
+
 def test_min_kind_witness_counts():
     tau = Fraction(5)
     a = (liouville_target(), golden_target())
@@ -860,8 +870,25 @@ def test_fast_max_rejects_a_simpler_fraction_just_outside_the_window():
     b = Budget(HeightKind.MAX, HeightValue(10))
     rec = fast_best((_DyadicTarget(e_star), _DyadicTarget(x1)), b)
     assert rec.point == (Fraction(0), Fraction(4, 7))
-    assert rec.point == brute_force_best((_DyadicTarget(e_star), _DyadicTarget(x1)), b).point
+    assert rec == brute_force_best((_DyadicTarget(e_star), _DyadicTarget(x1)), b)
     assert rec.error.lower <= e_star <= rec.error.upper
+
+
+def test_both_routes_certify_one_interval_after_a_deep_comparison():
+    # 1/4 + 2^-150/3 sits just above the tie of 0/1 and 1/2 around 1/4 at
+    # cap 2; a search that refines past 192 bits to decide that race must
+    # not certify a narrower interval than the oracle
+    x = Fraction(1, 4) + Fraction(1, 3 * 2 ** 150)
+    b = Budget(HeightKind.MAX, HeightValue(2))
+    rec = fast_best((_DyadicTarget(x), _DyadicTarget(x)), b)
+    assert rec == brute_force_best((_DyadicTarget(x), _DyadicTarget(x)), b)
+    assert rec.error.upper.denominator == 2 ** 192
+
+
+def test_answer_interval_is_certified_on_fresh_copies():
+    # the search refines sqrt2 far past the certificate's start precision
+    rec = fast_best((sqrt2_target(),), Budget(HeightKind.MAX, HeightValue(10 ** 12)))
+    assert rec.error == ErrVal((sqrt2_target(),), rec.point).certified_interval()
 
 
 @pytest.mark.parametrize("cap", [10, 1000, 10 ** 6])

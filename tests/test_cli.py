@@ -220,6 +220,15 @@ def test_experiment_khintchine_rejects_tau(tmp_path, capsys, via_config):
     assert "--tau" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_experiment_khintchine_without_trials_is_a_usage_error(capsys, trials):
+    code, out, err = run(capsys, "experiment", "--name", "khintchine", "--d", "2",
+                         "--kind", "max", "--trials", trials, "--workers", "1")
+    assert code == 2
+    assert out == ""
+    assert "need trials >= 1" in err
+
+
 def test_experiment_minsplit_reports_predicate_failure(capsys):
     code, out, err = run(capsys, "experiment", "--name", "minsplit", "--tau", "5",
                          "--schedule", "1000,100000")
@@ -258,12 +267,20 @@ def test_explicit_flag_beats_config(tmp_path, capsys):
     assert out.count("golden,") == 2
 
 
-def test_config_unknown_key(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("cf", "--target", "golden"), "nope = 1"),
+        # a key that only other subcommands take
+        (("heights", "--d", "2"), "target = golden"),
+    ],
+)
+def test_config_unknown_key(tmp_path, capsys, argv, line):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("nope = 1\n")
-    code, _, err = run(capsys, "cf", "--target", "golden", "--config", str(cfg))
+    cfg.write_text(line + "\n")
+    code, _, err = run(capsys, *argv, "--config", str(cfg))
     assert code == 2
-    assert "unknown config key" in err
+    assert f"unknown config key {line.split(' =')[0]!r}" in err
 
 
 def test_config_boolean_key_is_honoured(tmp_path, capsys):

@@ -131,6 +131,11 @@ def test_khintchine_validation():
         khintchine_experiment(
             RunConfig("khintchine", 2, HeightKind.PROD, None, 1, 1, HeightValue(10))
         )
+    for trials in (0, -2):
+        with pytest.raises(ValueError, match="need trials >= 1"):
+            khintchine_experiment(
+                RunConfig("khintchine", 2, HeightKind.MAX, None, 1, trials, HeightValue(10))
+            )
 
 
 def test_run_config_json_roundtrip():
