@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Each option's default is written once, in ``build_parser``; a ``--config``
+file's values become the subcommand's parser defaults, so explicit flags win.
+A ``ValueError``, raised by the CLI or by the library, is a usage error:
+``main`` reports it and exits 2.
+
 Exit codes: 0 success, 2 usage error, 3 precision exhausted, 4 enumeration
 cap exceeded, 5 failed run predicate or insufficient data.
 """
@@ -48,17 +53,15 @@ EXIT_PREDICATE = 5
 _KIND_NAMES = {k.name.lower(): k for k in HeightKind}
 # common alternate spelling of the rooted product
 _KIND_NAMES["prod_d_root"] = HeightKind.PROD_ROOT
-
-
-class UsageError(Exception):
-    pass
+# the height cap of exponent traces and khintchine trials
+_CAP = "1000000"
 
 
 def _kind(text: str) -> HeightKind:
     try:
         return _KIND_NAMES[text.lower()]
     except KeyError:
-        raise UsageError(
+        raise ValueError(
             f"unknown height kind {text!r}; choose from {', '.join(sorted(_KIND_NAMES))}"
         )
 
@@ -68,30 +71,14 @@ def _bound(text: str) -> HeightValue:
     try:
         return HeightValue(int(base), int(root) if root else 1)
     except ValueError as exc:
-        raise UsageError(f"bad bound {text!r}: {exc}")
+        raise ValueError(f"bad bound {text!r}: {exc}")
 
 
 def _tau(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational {text!r}: {exc}")
-
-
-def _enum_cap(args) -> int:
-    if args.enum_cap is None:
-        return DEFAULT_ENUM_CAP
-    if args.enum_cap < 1:
-        raise UsageError(f"--enum-cap must be >= 1, got {args.enum_cap}")
-    return args.enum_cap
-
-
-def _precision_bits(args) -> int:
-    if args.precision_bits is None:
-        return DEFAULT_PRECISION_BUDGET
-    if args.precision_bits < 1:
-        raise UsageError(f"--precision-bits must be >= 1, got {args.precision_bits}")
-    return args.precision_bits
+        raise ValueError(f"bad rational {text!r}: {exc}")
 
 
 def _schedule(text: str) -> List[HeightValue]:
@@ -103,7 +90,7 @@ def _levels(text: str) -> range:
     try:
         return range(int(lo), int(hi) + 1)
     except ValueError as exc:
-        raise UsageError(f"bad level range {text!r}: {exc}")
+        raise ValueError(f"bad level range {text!r}: {exc}")
 
 
 def _fmt(prog: str) -> argparse.HelpFormatter:
@@ -124,69 +111,72 @@ def build_parser(prog: str = "heightlab") -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output format (default csv)")
+    common.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="output format (default %(default)s)")
     common.add_argument("--config", help="key=value file merged under explicit flags")
-    common.add_argument("--precision-bits", type=int, default=None,
+    common.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BUDGET,
                         help="refinement budget for targets")
 
     p_cf = sub.add_parser("cf", parents=[common], formatter_class=_fmt,
                           help="continued-fraction convergent tables")
     p_cf.add_argument("--target", action="append",
                       help="golden|sqrt2|e|liouville|dec:<lit>|seed:<n>; repeatable")
-    p_cf.add_argument("--depth", type=int, default=None, help="rows per table (default 10)")
+    p_cf.add_argument("--depth", type=int, default=10,
+                      help="rows per table (default %(default)s)")
 
     p_h = sub.add_parser("heights", parents=[common], formatter_class=_fmt,
                          help="height-function exponent table")
-    p_h.add_argument("--kind", default=None, help="height kind or 'all' (default all)")
-    p_h.add_argument("--d", type=int, default=None, help="dimension (default 2)")
+    p_h.add_argument("--kind", default="all", help="height kind or 'all' (default %(default)s)")
+    p_h.add_argument("--d", type=int, default=2, help="dimension (default %(default)s)")
     p_h.add_argument("--exponents", action="store_true",
                      help="print critical-exponent intervals")
 
     p_a = sub.add_parser("approx", parents=[common], formatter_class=_fmt,
                          help="best approximation under a height budget")
     p_a.add_argument("--target", action="append", help="one per coordinate; repeatable")
-    p_a.add_argument("--height", default=None, help="height kind (max, min, prod, prod_d_root, lcm)")
-    p_a.add_argument("--bound", default=None, help="height budget as int[/root]")
+    p_a.add_argument("--height", help="height kind (max, min, prod, prod_d_root, lcm)")
+    p_a.add_argument("--bound", help="height budget as int[/root]")
     p_a.add_argument("--brute", action="store_true", help="run the exhaustive oracle as well")
     p_a.add_argument("--records", action="store_true", help="emit the full record chain instead")
     p_a.add_argument("--count", action="store_true", help="count tau-approximable solutions")
-    p_a.add_argument("--tau", default=None, help="exponent p/q for --count")
-    p_a.add_argument("--enum-cap", type=int, default=None, help="enumeration guard")
+    p_a.add_argument("--tau", help="exponent p/q for --count")
+    p_a.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP, help="enumeration guard")
 
     p_e = sub.add_parser("exponent", parents=[common], formatter_class=_fmt,
                          help="record-quotient exponent traces")
     p_e.add_argument("--target", action="append", help="one per coordinate; repeatable")
-    p_e.add_argument("--height", default=None, help="height kind")
-    p_e.add_argument("--cap", default=None, help="height cap as int[/root] (default 1000000)")
-    p_e.add_argument("--tau", default=None,
-                     help="estimate the tau-constant instead of the exponent")
-    p_e.add_argument("--warmup", type=int, default=None, help="ignore heights below this (default 100)")
-    p_e.add_argument("--reducer", default=None, help="last or running_max (running_min for --tau)")
-    p_e.add_argument("--enum-cap", type=int, default=None, help="enumeration guard")
+    p_e.add_argument("--height", help="height kind")
+    p_e.add_argument("--cap", default=_CAP, help="height cap as int[/root] (default %(default)s)")
+    p_e.add_argument("--tau", help="estimate the tau-constant instead of the exponent")
+    p_e.add_argument("--warmup", type=int, default=100,
+                     help="ignore heights below this (default %(default)s)")
+    p_e.add_argument("--reducer", help="last or running_max (running_min for --tau)")
+    p_e.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP, help="enumeration guard")
 
     p_x = sub.add_parser("experiment", parents=[common], formatter_class=_fmt,
                          help="reproducible experiment drivers")
-    p_x.add_argument("--name", default=None, help="khintchine, minsplit or box")
-    p_x.add_argument("--d", type=int, default=None, help="dimension (khintchine)")
-    p_x.add_argument("--kind", default=None, help="height kind")
-    p_x.add_argument("--trials", type=int, default=None, help="trial count (default 20)")
-    p_x.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    p_x.add_argument("--cap", default=None, help="height cap as int[/root] (default 1000000)")
-    p_x.add_argument("--tau", default=None, help="exponent p/q (minsplit, box)")
-    p_x.add_argument("--schedule", default=None,
-                     help="comma-separated caps for minsplit (default 1000,100000,10000000)")
-    p_x.add_argument("--levels", default=None, help="grid levels lo..hi for box (default 6..14)")
-    p_x.add_argument("--workers", type=int, default=None, help="parallel workers")
-    p_x.add_argument("--enum-cap", type=int, default=None, help="enumeration guard")
+    p_x.add_argument("--name", help="khintchine, minsplit or box")
+    p_x.add_argument("--d", type=int, help="dimension (khintchine)")
+    p_x.add_argument("--kind", help="height kind")
+    p_x.add_argument("--trials", type=int, default=20, help="trial count (default %(default)s)")
+    p_x.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
+    p_x.add_argument("--cap", default=_CAP, help="height cap as int[/root] (default %(default)s)")
+    p_x.add_argument("--tau", help="exponent p/q (minsplit, box)")
+    p_x.add_argument("--schedule", default="1000,100000,10000000",
+                     help="comma-separated caps for minsplit (default %(default)s)")
+    p_x.add_argument("--levels", default="6..14",
+                     help="grid levels lo..hi for box (default %(default)s)")
+    p_x.add_argument("--workers", type=int, help="parallel workers")
+    p_x.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP, help="enumeration guard")
 
     p_s = sub.add_parser("series", parents=[common], formatter_class=_fmt,
                          help="covering-series partial sums and verdict")
-    p_s.add_argument("--kind", default=None, help="max or prod_d_root")
-    p_s.add_argument("--d", type=int, default=None, help="dimension")
-    p_s.add_argument("--tau", default=None, help="exponent p/q")
-    p_s.add_argument("--s", default=None, help="dimension variable p/q")
-    p_s.add_argument("--qmax", type=int, default=None, help="largest denominator (default 100000)")
+    p_s.add_argument("--kind", help="max or prod_d_root")
+    p_s.add_argument("--d", type=int, help="dimension")
+    p_s.add_argument("--tau", help="exponent p/q")
+    p_s.add_argument("--s", help="dimension variable p/q")
+    p_s.add_argument("--qmax", type=int, default=100000,
+                     help="largest denominator (default %(default)s)")
     return parser
 
 
@@ -194,74 +184,78 @@ def _config_value(action: argparse.Action, key: str, value: str):
     """A config value converted as the flag's own argparse action would."""
     if action.nargs == 0:  # store_true / store_false
         if value not in ("true", "false"):
-            raise UsageError(f"bad config value for {key!r}: expected true or false")
+            raise ValueError(f"bad config value for {key!r}: expected true or false")
         return action.const if value == "true" else action.default
     try:
         out = action.type(value) if action.type else value
     except ValueError as exc:
-        raise UsageError(f"bad config value for {key!r}: {exc}")
+        raise ValueError(f"bad config value for {key!r}: {exc}")
     if action.choices is not None and out not in action.choices:
-        raise UsageError(
+        raise ValueError(
             f"bad config value for {key!r}: choose from {', '.join(map(str, action.choices))}"
         )
     return out
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    path = getattr(args, "config", None)
-    if not path:
-        return
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """argv parsed again with the config file's values as the subcommand's
+    defaults, so that explicit flags win."""
     try:
-        with open(path) as fh:
+        with open(args.config) as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise UsageError(f"cannot read config {path!r}: {exc}")
+        raise ValueError(f"cannot read config {args.config!r}: {exc}")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions}
+    sub_parser = sub.choices[args.command]
+    actions = {a.dest: a for a in sub_parser._actions if a.dest != "help"}
+    defaults = {}
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise UsageError(f"bad config line {raw.rstrip()!r}")
-        dest = key.strip().replace("-", "_")
-        value = value.strip()
-        action = actions.get(dest) if hasattr(args, dest) else None
+            raise ValueError(f"bad config line {raw.rstrip()!r}")
+        key, value = key.strip(), value.strip()
+        action = actions.get(key.replace("-", "_"))
         if action is None:
-            raise UsageError(f"unknown config key {key.strip()!r}")
-        if dest == "target":
-            if args.target is None:
-                args.target = [v.strip() for v in value.split(",") if v.strip()]
-            continue
-        if getattr(args, dest) == action.default:  # explicit flags win
-            setattr(args, dest, _config_value(action, key.strip(), value))
+            raise ValueError(f"unknown config key {key!r}")
+        if action.dest == "target":
+            value = [v.strip() for v in value.split(",") if v.strip()]
+        else:
+            value = _config_value(action, key, value)
+        defaults.setdefault(action.dest, value)  # a repeated key keeps its first value
+    # an appended list default would merge with explicit targets
+    targets = defaults.pop("target", None)
+    sub_parser.set_defaults(**defaults)
+    args = parser.parse_args(argv)
+    if targets is not None and args.target is None:
+        args.target = targets
+    return args
 
 
 def _emit(args, header: str, rows: Sequence[Sequence], json_obj) -> None:
-    fmt = getattr(args, "format", None) or "csv"
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(json_obj, indent=1) + "\n"
     else:
         lines = [header]
         lines += [",".join(str(c) for c in row) for row in rows]
         text = "\n".join(lines) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
-
-
-def _targets(args, budget: int) -> tuple:
-    specs = getattr(args, "target", None)
-    if not specs:
-        raise UsageError("at least one --target is required")
+        return
     try:
-        return tuple(parse_target(s, budget) for s in specs)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output {args.out!r}: {exc}")
+
+
+def _targets(args) -> tuple:
+    if not args.target:
+        raise ValueError("at least one --target is required")
+    return tuple(parse_target(s, args.precision_bits) for s in args.target)
 
 
 def _iv_str(f: Fraction) -> str:
@@ -269,15 +263,11 @@ def _iv_str(f: Fraction) -> str:
 
 
 def _cmd_cf(args) -> int:
-    budget = _precision_bits(args)
-    depth = args.depth if args.depth is not None else 10
-    if depth < 1:
-        raise UsageError("need --depth >= 1")
-    x = _targets(args, budget)
+    x = _targets(args)
     rows = []
     blobs = []
     for spec, t in zip(args.target, x):
-        table = expand(t, depth, strict=False)
+        table = expand(t, args.depth, strict=False)
         rows += [(spec, n, a, p, q) for n, a, p, q in table.csv_rows()]
         blobs.append({
             "target": spec,
@@ -289,20 +279,14 @@ def _cmd_cf(args) -> int:
 
 
 def _cmd_heights(args) -> int:
-    d = args.d if args.d is not None else 2
-    if d < 1:
-        raise UsageError("need --d >= 1")
-    kinds = list(HeightKind) if args.kind in (None, "all") else [_kind(args.kind)]
+    kinds = list(HeightKind) if args.kind == "all" else [_kind(args.kind)]
     rows = []
     blobs = []
     for k in kinds:
-        try:
-            iv = fs_exponent(k, d)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        rows.append((k.name.lower(), d, float(iv.lower), float(iv.upper)))
+        iv = fs_exponent(k, args.d)
+        rows.append((k.name.lower(), args.d, float(iv.lower), float(iv.upper)))
         blobs.append({
-            "kind": k.name.lower(), "d": d,
+            "kind": k.name.lower(), "d": args.d,
             "lo": _iv_str(iv.lower), "hi": _iv_str(iv.upper),
         })
     _emit(args, "kind,d,exponent_lo,exponent_hi", rows, blobs)
@@ -319,38 +303,36 @@ def _record_json(rec) -> Dict:
 
 
 def _cmd_approx(args) -> int:
-    budget = _precision_bits(args)
     if args.height is None:
-        raise UsageError("--height is required")
+        raise ValueError("--height is required")
     kind = _kind(args.height)
     if args.bound is None:
-        raise UsageError("--bound is required")
+        raise ValueError("--bound is required")
     bound = _bound(args.bound)
-    x = _targets(args, budget)
-    enum_cap = _enum_cap(args)
+    x = _targets(args)
     if args.count:
         if args.tau is None:
-            raise UsageError("--count needs --tau")
-        n = solutions_count(x, kind, _tau(args.tau), bound, enum_cap=enum_cap)
+            raise ValueError("--count needs --tau")
+        n = solutions_count(x, kind, _tau(args.tau), bound, enum_cap=args.enum_cap)
         _emit(args, "count", [(n,)], {"count": n})
         return EXIT_OK
     if kind is HeightKind.MIN:
-        raise UsageError(
+        raise ValueError(
             "the min height admits arbitrarily good approximations at any "
             "budget; use counting mode (--count --tau ...) instead"
         )
     if args.records:
-        chain = records(x, kind, bound, enum_cap=enum_cap)
+        chain = records(x, kind, bound, enum_cap=args.enum_cap)
         hdr = "height_base,height_root,error_lo,error_hi," + ",".join(
             f"p{i},q{i}" for i in range(len(x))
         )
         _emit(args, hdr, record_csv_rows(chain), [_record_json(r) for r in chain])
         return EXIT_OK
-    rec = fast_best(x, Budget(kind, bound), enum_cap=enum_cap)
+    rec = fast_best(x, Budget(kind, bound), enum_cap=args.enum_cap)
     blob = {"fast": _record_json(rec)}
     rows = [("fast",) + row for row in record_csv_rows([rec])]
     if args.brute:
-        ref = brute_force_best(x, Budget(kind, bound), enum_cap=enum_cap)
+        ref = brute_force_best(x, Budget(kind, bound), enum_cap=args.enum_cap)
         blob["brute"] = _record_json(ref)
         blob["match"] = ref == rec
         rows += [("brute",) + row for row in record_csv_rows([ref])]
@@ -362,28 +344,21 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_exponent(args) -> int:
-    budget = _precision_bits(args)
     if args.height is None:
-        raise UsageError("--height is required")
+        raise ValueError("--height is required")
     kind = _kind(args.height)
-    cap = _bound(args.cap) if args.cap is not None else HeightValue(10 ** 6)
-    warmup = args.warmup if args.warmup is not None else 100
-    enum_cap = _enum_cap(args)
-    x = _targets(args, budget)
-    try:
-        if args.tau is not None:
-            reducer = args.reducer or "running_min"
-            tr = constant_estimate(
-                x, kind, _tau(args.tau), cap, warmup=warmup,
-                reducer=reducer, enum_cap=enum_cap,
-            )
-        else:
-            reducer = args.reducer or "last"
-            tr = omega_estimate(
-                x, kind, cap, warmup=warmup, reducer=reducer, enum_cap=enum_cap
-            )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    cap = _bound(args.cap)
+    x = _targets(args)
+    if args.tau is not None:
+        tr = constant_estimate(
+            x, kind, _tau(args.tau), cap, warmup=args.warmup,
+            reducer=args.reducer or "running_min", enum_cap=args.enum_cap,
+        )
+    else:
+        tr = omega_estimate(
+            x, kind, cap, warmup=args.warmup, reducer=args.reducer or "last",
+            enum_cap=args.enum_cap,
+        )
     blob = {
         "kind": kind.name.lower(),
         "estimate_lo": _iv_str(tr.estimate.lower),
@@ -405,28 +380,24 @@ def _cmd_exponent(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    name = args.name
-    if name == "khintchine":
+    if args.name == "khintchine":
         if args.d is None or args.kind is None:
-            raise UsageError("khintchine needs --d and --kind")
+            raise ValueError("khintchine needs --d and --kind")
         if args.tau is not None:
-            raise UsageError("khintchine takes no --tau: its trials estimate the exponent")
+            raise ValueError("khintchine takes no --tau: its trials estimate the exponent")
         cfg = RunConfig(
             name="khintchine",
             d=args.d,
             kind=_kind(args.kind),
             tau=None,
-            base_seed=args.seed if args.seed is not None else 0,
-            trials=args.trials if args.trials is not None else 20,
-            height_cap=_bound(args.cap) if args.cap is not None else HeightValue(10 ** 6),
-            precision_budget=_precision_bits(args),
-            enum_cap=_enum_cap(args),
+            base_seed=args.seed,
+            trials=args.trials,
+            height_cap=_bound(args.cap),
+            precision_budget=args.precision_bits,
+            enum_cap=args.enum_cap,
             out=args.out,
         )
-        try:
-            result = khintchine_experiment(cfg, workers=args.workers)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        result = khintchine_experiment(cfg, workers=args.workers)
         agg = result.aggregates
         line = (
             f"ok={agg['ok']} failed={agg['failed']} median={agg.get('median')} "
@@ -436,19 +407,12 @@ def _cmd_experiment(args) -> int:
             sys.stdout.write(json.dumps(result.to_json(), indent=1) + "\n")
         sys.stdout.write(line + "\n")
         return EXIT_OK if agg["passes"] else EXIT_PREDICATE
-    if name == "minsplit":
+    if args.name == "minsplit":
         tau = _tau(args.tau) if args.tau is not None else Fraction(5)
-        caps = (
-            _schedule(args.schedule)
-            if args.schedule is not None
-            else [HeightValue(10 ** 3), HeightValue(10 ** 5), HeightValue(10 ** 7)]
-        )
+        caps = _schedule(args.schedule)
         if len(caps) < 2:
-            raise UsageError("minsplit needs a schedule of at least two caps")
-        try:
-            rep = min_split_experiment(tau, caps, enum_cap=_enum_cap(args))
-        except ValueError as exc:
-            raise UsageError(str(exc))
+            raise ValueError("minsplit needs a schedule of at least two caps")
+        rep = min_split_experiment(tau, caps, enum_cap=args.enum_cap)
         rows = [
             (r.label, " ".join(str(c.base) for c in r.caps),
              " ".join(str(c) for c in r.counts), r.verdict)
@@ -469,15 +433,11 @@ def _cmd_experiment(args) -> int:
             sys.stderr.write(f"predicted verdict failed for: {', '.join(bad)}\n")
             return EXIT_PREDICATE
         return EXIT_OK
-    if name == "box":
+    if args.name == "box":
         if args.kind is None:
-            raise UsageError("box needs --kind")
+            raise ValueError("box needs --kind")
         tau = _tau(args.tau) if args.tau is not None else Fraction(4)
-        levels = _levels(args.levels) if args.levels is not None else range(6, 15)
-        try:
-            rep = box_count_probe(_kind(args.kind), tau, grid_levels=levels)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        rep = box_count_probe(_kind(args.kind), tau, grid_levels=_levels(args.levels))
         rows = [(lv, c) for lv, c in rep.levels]
         blob = {
             "kind": rep.kind.name.lower(),
@@ -490,17 +450,13 @@ def _cmd_experiment(args) -> int:
         _emit(args, "level,cells", rows, blob)
         sys.stdout.write(f"slope={rep.slope:.6f} residual={rep.residual:.6f}\n")
         return EXIT_OK
-    raise UsageError("--name must be khintchine, minsplit or box")
+    raise ValueError("--name must be khintchine, minsplit or box")
 
 
 def _cmd_series(args) -> int:
     if args.kind is None or args.d is None or args.tau is None or args.s is None:
-        raise UsageError("series needs --kind, --d, --tau and --s")
-    qmax = args.qmax if args.qmax is not None else 10 ** 5
-    try:
-        rep = series_diagnostic(_kind(args.kind), args.d, _tau(args.tau), _tau(args.s), qmax)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise ValueError("series needs --kind, --d, --tau and --s")
+    rep = series_diagnostic(_kind(args.kind), args.d, _tau(args.tau), _tau(args.s), args.qmax)
     rows = [(q, v) for q, v in rep.partials]
     blob = {
         "kind": rep.kind.name.lower(),
@@ -537,12 +493,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
-        _apply_config(args, parser)
+        if args.config:
+            args = _apply_config(parser, args, argv)
+        for dest in ("precision_bits", "enum_cap", "warmup"):
+            n = getattr(args, dest, 1)
+            if n < 1:
+                raise ValueError(f"--{dest.replace('_', '-')} must be >= 1, got {n}")
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except UnboundedSearchError as exc:
+    except (ValueError, UnboundedSearchError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except PrecisionExhaustedError as exc:

@@ -137,6 +137,7 @@ def test_approx_cap_exceeded(capsys):
          "--precision-bits"),
         ("experiment", "--name", "khintchine", "--d", "2", "--kind", "max",
          "--trials", "1", "--workers", "1", "--precision-bits"),
+        ("exponent", "--target", "golden", "--height", "max", "--cap", "1000", "--warmup"),
     ],
 )
 def test_nonpositive_enum_cap_is_usage_error(capsys, argv, cap):
@@ -145,6 +146,23 @@ def test_nonpositive_enum_cap_is_usage_error(capsys, argv, cap):
     assert code == 2
     assert f"{argv[-1]} must be >= 1" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--target", "dec:1/3", "--bound", "10", "--records"),
+         "record chains need irrational coordinates"),
+        (("--target", "golden", "--count", "--tau", "0", "--bound", "10"), "tau must be positive"),
+        (("--target", "golden", "--count", "--tau", "-1", "--bound", "10"),
+         "tau must be positive"),
+    ],
+)
+def test_approx_library_argument_error_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "approx", "--height", "max", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {message}" in err
 
 
 def test_exponent_insufficient_data(capsys):
@@ -258,13 +276,15 @@ def test_config_file_fills_missing_flags(tmp_path, capsys):
     assert out.count("golden,") == 4
 
 
-def test_explicit_flag_beats_config(tmp_path, capsys):
+# 10 is --depth's default: an explicit flag wins even when it equals it
+@pytest.mark.parametrize("depth", [2, 10])
+def test_explicit_flag_beats_config(tmp_path, capsys, depth):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("depth = 4\n")
-    code, out, _ = run(capsys, "cf", "--target", "golden", "--depth", "2",
+    code, out, _ = run(capsys, "cf", "--target", "golden", "--depth", str(depth),
                        "--config", str(cfg))
     assert code == 0
-    assert out.count("golden,") == 2
+    assert out.count("golden,") == depth
 
 
 @pytest.mark.parametrize(
@@ -312,6 +332,14 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert dest.read_text().splitlines()[-1] == "sqrt2,3,2,5,12"
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    dest = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "cf", "--target", "golden", "--out", str(dest))
+    assert code == 2
+    assert out == ""
+    assert f"cannot write output {str(dest)!r}" in err
 
 
 def test_heights_exponent_table(capsys):
