@@ -4,7 +4,8 @@ Two independent routes compute the same answer: a certified brute-force
 enumeration over denominator tuples, and a fast route built on per-coordinate
 best-approximation tables.  Both resolve every comparison exactly: floating
 point only prefilters, and the winner set plus tie-break order come from
-interval refinement or rational arithmetic.
+interval refinement or rational arithmetic.  Every search checks its
+arguments in one front door, ``_search``.
 
 Record chains under max, prod and prod_root, and every one-coordinate chain,
 come from one frontier walk over the per-coordinate tables, which moves the
@@ -62,10 +63,7 @@ class Budget:
     bound: HeightValue
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, HeightKind):
-            raise TypeError("kind must be a HeightKind")
-        if not isinstance(self.bound, HeightValue):
-            raise TypeError("bound must be a HeightValue")
+        _check_budget(self.kind, self.bound)
 
 
 @dataclass(frozen=True)
@@ -313,17 +311,33 @@ def _validate_targets(x: Sequence[RealTarget]) -> Tuple[RealTarget, ...]:
     return tuple(t.clone() for t in targets)
 
 
-def _den_cap(budget: Budget, d: int) -> int:
-    """Largest admissible scalar cap implied by the budget bound.
+def _check_budget(kind: HeightKind, bound: HeightValue) -> None:
+    if not isinstance(kind, HeightKind):
+        raise TypeError("kind must be a HeightKind")
+    if not isinstance(bound, HeightValue):
+        raise TypeError("bound must be a HeightValue")
+
+
+def _den_cap(kind: HeightKind, bound: HeightValue, d: int) -> int:
+    """Largest admissible scalar cap implied by the height bound.
 
     max/lcm and every d=1 case bound single denominators; prod bounds the
     product; prod with the d-th root comparison bounds the product by
     base**(d/root).
     """
-    base, root = budget.bound.base, budget.bound.root
-    if budget.kind is HeightKind.PROD_ROOT:
-        return iroot(base ** d, root)
-    return iroot(base, root)
+    _check_budget(kind, bound)
+    if kind is HeightKind.PROD_ROOT:
+        return iroot(bound.base ** d, bound.root)
+    return iroot(bound.base, bound.root)
+
+
+def _search(x: Sequence[RealTarget], kind: HeightKind, bound: HeightValue):
+    """The checked arguments of a search: fresh copies of the targets, and
+    the scalar cap of ``_den_cap``."""
+    targets = _validate_targets(x)
+    if kind is HeightKind.MIN:
+        raise UnboundedSearchError("min height bounds only one coordinate")
+    return targets, _den_cap(kind, bound, len(targets))
 
 
 # ---------------------------------------------------------------------------
@@ -522,12 +536,8 @@ def brute_force_best(
     x: Sequence[RealTarget], budget: Budget, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> ApproxRecord:
     """Certified exhaustive minimizer of the max-norm error under the budget."""
-    targets = _validate_targets(x)
-    if budget.kind is HeightKind.MIN:
-        raise UnboundedSearchError("min height bounds only one coordinate")
-    d = len(targets)
-    cap = _den_cap(budget, d)
-    grid = _grid_for(budget.kind, d, cap, enum_cap)
+    targets, cap = _search(x, budget.kind, budget.bound)
+    grid = _grid_for(budget.kind, len(targets), cap, enum_cap)
     tuple_lo, tuple_hi = _phase1(grid, targets)
     opt_hi = tuple_hi.min()
     if not np.isfinite(opt_hi):
@@ -666,13 +676,9 @@ def fast_best(
     Each call works on fresh copies of the targets, so its result depends
     only on its arguments.
     """
-    targets = _validate_targets(x)
     kind = budget.kind
-    if kind is HeightKind.MIN:
-        raise UnboundedSearchError("min height bounds only one coordinate")
-    d = len(targets)
-    cap = _den_cap(budget, d)
-    if kind is HeightKind.MAX or d == 1:
+    targets, cap = _search(x, kind, budget.bound)
+    if kind is HeightKind.MAX or len(targets) == 1:
         opt = ErrVal(targets, [_BestTable(t).best_at(cap)[1] for t in targets])
         return _finish(targets, kind, _simplest_point(targets, opt))
     if kind is HeightKind.LCM:
@@ -690,12 +696,6 @@ def fast_best(
 
 # ---------------------------------------------------------------------------
 # record chains
-
-
-def _require_irrational(targets) -> None:
-    for t in targets:
-        if t.exact_value is not None:
-            raise ValueError(f"record chains need irrational coordinates, got {t.key}")
 
 
 def records(
@@ -731,14 +731,11 @@ def _record_walk(
     The arguments are checked on the call, before the walk starts; a frontier
     walk runs as it is read.
     """
-    targets = _validate_targets(x)
-    if kind is HeightKind.MIN:
-        raise UnboundedSearchError("min height bounds only one coordinate")
-    _require_irrational(targets)
-    budget = Budget(kind, height_cap)
-    d = len(targets)
-    cap = _den_cap(budget, d)
-    if kind is HeightKind.LCM and d >= 2:
+    targets, cap = _search(x, kind, height_cap)
+    for t in targets:
+        if t.exact_value is not None:
+            raise ValueError(f"record chains need irrational coordinates, got {t.key}")
+    if kind is HeightKind.LCM and len(targets) >= 2:
         walk, _ = _lcm_opt(targets, cap, enum_cap)
         return walk
     return _frontier(targets, kind, cap, enum_cap)
@@ -892,8 +889,6 @@ def record_csv_rows(chain: Sequence[ApproxRecord]) -> List[Tuple]:
 def _err_beats_power(atom: _Atom, base: int, tau: Fraction) -> bool:
     """Certified check of |x - p/q| < base**(-tau)."""
     a, b = tau.numerator, tau.denominator
-    if atom.exact is not None:
-        return atom.exact ** b * base ** a < 1
     target = atom.target
     for bits in precisions(64, target.budget):
         iv = atom.interval(bits)
@@ -914,6 +909,17 @@ def _legendre_threshold(tau: Fraction) -> int:
     return t if t ** e >= 2 ** b else t + 1
 
 
+def _convergents(target: RealTarget, q_lo: int, q_hi: int) -> Iterator[Fraction]:
+    """The convergents p/q of the target with q_lo <= q <= q_hi, in order."""
+    cursor = ConvergentCursor(target)
+    while True:
+        row = cursor.advance()
+        if row is None or row.q > q_hi:
+            return
+        if row.q >= q_lo:
+            yield Fraction(row.p, row.q)
+
+
 def _count_d1(target: RealTarget, tau: Fraction, cap: int, enum_cap: int) -> List[Fraction]:
     sols: List[Fraction] = []
     q0 = _legendre_threshold(tau) if tau > 2 else cap + 1
@@ -925,15 +931,9 @@ def _count_d1(target: RealTarget, tau: Fraction, cap: int, enum_cap: int) -> Lis
             raise CapExceededError("direct window enumeration exceeds cap")
         sols.extend(Fraction(p, q) for p in got)
     if q0 <= cap:
-        cursor = ConvergentCursor(target)
-        while True:
-            row = cursor.advance()
-            if row is None or row.q > cap:
-                break
-            if row.q < q0:
-                continue
-            if _err_beats_power(_Atom(target, Fraction(row.p, row.q)), row.q, tau):
-                sols.append(Fraction(row.p, row.q))
+        for c in _convergents(target, q0, cap):
+            if _err_beats_power(_Atom(target, c), c.denominator, tau):
+                sols.append(c)
     return sols
 
 
@@ -947,37 +947,25 @@ def _min_witness_points(
     certifiably beats q**(-tau).  Witnesses without such partners are dropped,
     keeping the count an honest lower bound.
     """
-    d = len(targets)
     points = set()
     for i, t in enumerate(targets):
         for w in _count_d1(t, tau, cap, enum_cap):
-            q_i = w.denominator
-            aux: List[Optional[Fraction]] = []
-            ok = True
+            point = []
             for j, other in enumerate(targets):
-                if j == i:
-                    aux.append(w)
-                    continue
-                partner = _aux_partner(other, q_i, tau, aux_cap)
-                if partner is None:
-                    ok = False
+                c = w if j == i else _aux_partner(other, w.denominator, tau, aux_cap)
+                if c is None:
                     break
-                aux.append(partner)
-            if ok:
-                points.add(tuple(aux))
+                point.append(c)
+            else:
+                points.add(tuple(point))
     return points
 
 
 def _aux_partner(target: RealTarget, q_min: int, tau: Fraction, aux_cap: int):
-    cursor = ConvergentCursor(target)
-    while True:
-        row = cursor.advance()
-        if row is None or row.q > aux_cap:
-            return None
-        if row.q < q_min:
-            continue
-        if _err_beats_power(_Atom(target, Fraction(row.p, row.q)), q_min, tau):
-            return Fraction(row.p, row.q)
+    for c in _convergents(target, q_min, aux_cap):
+        if _err_beats_power(_Atom(target, c), q_min, tau):
+            return c
+    return None
 
 
 def solutions_count(
@@ -998,8 +986,7 @@ def solutions_count(
     if tau <= 0:
         raise ValueError("tau must be positive")
     d = len(targets)
-    budget = Budget(kind, height_cap)
-    cap = _den_cap(budget, d)
+    cap = _den_cap(kind, height_cap, d)
     if d == 1:
         return len(set(_count_d1(targets[0], tau, cap, enum_cap)))
     if kind is HeightKind.MIN:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -38,6 +40,7 @@ from .experiments import (
     box_count_probe,
     khintchine_experiment,
     min_split_experiment,
+    run_files,
     series_diagnostic,
 )
 from .exponents import constant_estimate, omega_estimate, trace_csv_rows
@@ -128,8 +131,6 @@ def build_parser(prog: str = "heightlab") -> argparse.ArgumentParser:
                          help="height-function exponent table")
     p_h.add_argument("--kind", default="all", help="height kind or 'all' (default %(default)s)")
     p_h.add_argument("--d", type=int, default=2, help="dimension (default %(default)s)")
-    p_h.add_argument("--exponents", action="store_true",
-                     help="print critical-exponent intervals")
 
     p_a = sub.add_parser("approx", parents=[common], formatter_class=_fmt,
                          help="best approximation under a height budget")
@@ -235,6 +236,16 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     return args
 
 
+@contextmanager
+def _output(path: str, mode: str = "w"):
+    """The output file opened for writing; an OSError is a usage error."""
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except OSError as exc:
+        raise ValueError(f"cannot write output {path!r}: {exc}")
+
+
 def _emit(args, header: str, rows: Sequence[Sequence], json_obj) -> None:
     if args.format == "json":
         text = json.dumps(json_obj, indent=1) + "\n"
@@ -245,11 +256,8 @@ def _emit(args, header: str, rows: Sequence[Sequence], json_obj) -> None:
     if not args.out:
         sys.stdout.write(text)
         return
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValueError(f"cannot write output {args.out!r}: {exc}")
+    with _output(args.out) as fh:
+        fh.write(text)
 
 
 def _targets(args) -> tuple:
@@ -397,6 +405,14 @@ def _cmd_experiment(args) -> int:
             enum_cap=args.enum_cap,
             out=args.out,
         )
+        if args.out:
+            # the run files are written once every trial has run: check them first
+            for path in run_files(args.out):
+                existed = os.path.exists(path)
+                with _output(path, "a"):
+                    pass
+                if not existed:
+                    os.remove(path)
         result = khintchine_experiment(cfg, workers=args.workers)
         agg = result.aggregates
         line = (

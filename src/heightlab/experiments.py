@@ -112,10 +112,10 @@ class RunResult:
         }
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
+        run_json, trials_csv = run_files(path)
+        with open(run_json, "w") as fh:
             json.dump(self.to_json(), fh, indent=1)
-        stem, _ = os.path.splitext(path)
-        with open(stem + "_trials.csv", "w") as fh:
+        with open(trials_csv, "w") as fh:
             fh.write("trial,seed,status,estimate_lo,estimate_hi,records\n")
             for i, row in enumerate(self.trials):
                 fh.write(
@@ -123,6 +123,12 @@ class RunResult:
                     f"{row.get('estimate_lo', '')},{row.get('estimate_hi', '')},"
                     f"{row.get('records', '')}\n"
                 )
+
+
+def run_files(path: str) -> Tuple[str, str]:
+    """The files ``RunResult.save(path)`` writes: the run JSON and its trials CSV."""
+    stem, _ = os.path.splitext(path)
+    return path, stem + "_trials.csv"
 
 
 def _omega_trial(job: Tuple[RunConfig, int]) -> Dict:

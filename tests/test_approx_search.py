@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -609,18 +610,27 @@ def test_record_csv_rows_shape():
     assert len(rows[0]) == 4 + 2
 
 
-def test_golden_cubic_solution_count_stagnates():
-    x = (golden_target(),)
-    c3 = solutions_count(x, HeightKind.MAX, Fraction(3), HeightValue(10 ** 3))
-    c4 = solutions_count(x, HeightKind.MAX, Fraction(3), HeightValue(10 ** 4))
-    # 0/1 and 1/1 trivially qualify at q=1, and so does the convergent 1/2
-    assert c3 == c4 == 3
-
-
-def test_liouville_quintic_count_is_trivial_below_huge_caps():
-    # genuine tau=5 witnesses need denominators around 10^120
-    x = (liouville_target(),)
-    assert solutions_count(x, HeightKind.MAX, Fraction(5), HeightValue(10 ** 7)) == 2
+@pytest.mark.parametrize(
+    "target, tau, cap, want",
+    [
+        # 0/1 and 1/1 trivially qualify at q=1, and so does the convergent
+        # 1/2; golden's count then stagnates
+        (golden_target, Fraction(3), 10 ** 3, 3),
+        (golden_target, Fraction(3), 10 ** 4, 3),
+        # both ends of the convergent scan: past the Legendre threshold q0
+        # solutions are convergents, and at cap 2 the convergent 1/2 has
+        # q = q0 = cap
+        (golden_target, Fraction(3), 1, 2),
+        (golden_target, Fraction(3), 2, 3),
+        # q0 = 4, and the convergent 2/5 sits exactly at the cap
+        (sqrt2_target, Fraction(5, 2), 4, 3),
+        (sqrt2_target, Fraction(5, 2), 5, 4),
+        # genuine tau=5 witnesses of liouville need denominators around 10^120
+        (liouville_target, Fraction(5), 10 ** 7, 2),
+    ],
+)
+def test_one_coordinate_solution_count(target, tau, cap, want):
+    assert solutions_count((target(),), HeightKind.MAX, tau, HeightValue(cap)) == want
 
 
 def test_one_coordinate_count_guards_its_direct_window_scan():
@@ -766,17 +776,40 @@ def test_max_ties_match_float_scan(d, cap):
         assert rec.error == _max_opt(sample_uniform(seed, d), cap).certified_interval(), seed
 
 
-def _fraction_oracle_max(coords, cap):
-    """Max-height optimum of exact coordinates by scanning every p/q with
-    q <= cap in [-1, 2], in plain Fraction arithmetic; a fraction outside
-    that range is more than 1 away from a coordinate in [0, 1)."""
-    fracs = {Fraction(p, q) for q in range(1, cap + 1) for p in range(-q, 2 * q + 1)}
-    best = max(min(abs(x - f) for f in fracs) for x in coords)
-    near = [[f for f in fracs if abs(x - f) <= best] for x in coords]
+@functools.lru_cache(maxsize=None)
+def _reduced_fractions(q):
+    return [Fraction(p, q) for p in range(-q, 2 * q + 1) if math.gcd(p, q) == 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _least_error(x, q):
+    return min(abs(x - f) for f in _reduced_fractions(q))
+
+
+def _fraction_oracle(coords, kind, cap):
+    """Optimum of exact coordinates under a height cap, in plain Fraction
+    arithmetic: every reduced p/q in [-1, 2] is scanned at every denominator
+    q of every denominator tuple whose height is at most cap.  A fraction
+    outside [-1, 2] is more than 1 away from a coordinate in [0, 1)."""
+    d = len(coords)
+    top = cap ** d if kind is HeightKind.PROD_ROOT else cap  # bound on the height base
+    tuples = [()]
+    for _ in range(d):
+        tuples = [
+            qs + (q,)
+            for qs in tuples
+            for q in range(1, (top // math.prod(qs) if kind in PROD_KINDS else top) + 1)
+        ]
+    if kind is HeightKind.LCM:
+        tuples = [qs for qs in tuples if math.lcm(*qs) <= cap]
+    best = min(max(_least_error(x, q) for x, q in zip(coords, qs)) for qs in tuples)
     ties = [
         pt
-        for pt in itertools.product(*near)
-        if max(abs(x - f) for x, f in zip(coords, pt)) == best
+        for qs in tuples
+        if max(_least_error(x, q) for x, q in zip(coords, qs)) == best
+        for pt in itertools.product(
+            *([f for f in _reduced_fractions(q) if abs(x - f) <= best] for x, q in zip(coords, qs))
+        )
     ]
     point = min(ties, key=lambda pt: ([f.numerator for f in pt], [f.denominator for f in pt]))
     return point, best
@@ -800,7 +833,8 @@ def _fraction_oracle_max(coords, cap):
         (Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(1, 3)),
         (Fraction(5, 11), Fraction(0), Fraction(9, 13)),
-        # one coordinate, with the same mirror ties, under every kind
+        RECURRING_LCM_OPTIMUM,
+        # one coordinate, with the same mirror ties
         (Fraction(1, 4),),
         (Fraction(5, 12),),
         (Fraction(3, 10),),
@@ -809,17 +843,18 @@ def _fraction_oracle_max(coords, cap):
         (Fraction(2, 7),),
     ],
 )
-def test_fast_max_matches_fraction_oracle(coords):
-    # at d = 1 every kind bounds the one denominator by the cap
-    kinds = SEARCH_KINDS if len(coords) == 1 else [HeightKind.MAX]
+@pytest.mark.parametrize("kind", SEARCH_KINDS)
+def test_searches_match_fraction_oracle(coords, kind):
     x = tuple(RationalTarget(f) for f in coords)
-    for cap in range(1, 15):
-        point, best = _fraction_oracle_max(coords, cap)
-        for kind in kinds:
-            rec = fast_best(x, Budget(kind, HeightValue(cap)))
-            assert rec.point == point, (cap, kind)
-            assert rec.error.lower == rec.error.upper == best, (cap, kind)
-            assert rec.height == height(point, kind), (cap, kind)
+    # a rooted product cap c admits products up to c**d
+    caps = range(1, 8 if kind is HeightKind.PROD_ROOT and len(coords) > 1 else 15)
+    for cap in caps:
+        point, best = _fraction_oracle(coords, kind, cap)
+        for search in (fast_best, brute_force_best):
+            rec = search(x, Budget(kind, HeightValue(cap)))
+            assert rec.point == point, (cap, search.__name__)
+            assert rec.error.lower == rec.error.upper == best, (cap, search.__name__)
+            assert rec.height == height(point, kind), (cap, search.__name__)
 
 
 class _DyadicTarget(RealTarget):

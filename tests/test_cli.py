@@ -28,7 +28,7 @@ def test_every_documented_flag_is_listed():
         "--target", "--height", "--bound", "--tau", "--depth", "--seed",
         "--trials", "--cap", "--precision-bits", "--out", "--format",
         "--config", "--workers", "--schedule", "--records", "--count",
-        "--d", "--s", "--kind", "--qmax", "--exponents", "--brute",
+        "--d", "--s", "--kind", "--qmax", "--brute",
         "--levels", "--warmup", "--reducer", "--enum-cap", "--name",
     ):
         assert flag in combined, flag
@@ -334,16 +334,36 @@ def test_out_writes_file(tmp_path, capsys):
     assert dest.read_text().splitlines()[-1] == "sqrt2,3,2,5,12"
 
 
-def test_unwritable_out_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cf", "--target", "golden"),
+        # a khintchine run writes its files after the trials, so the paths
+        # must be checked before the first trial
+        ("experiment", "--name", "khintchine", "--d", "2", "--kind", "max",
+         "--trials", "1", "--cap", "100", "--workers", "1"),
+    ],
+)
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     dest = tmp_path / "missing" / "x.csv"
-    code, out, err = run(capsys, "cf", "--target", "golden", "--out", str(dest))
+    code, out, err = run(capsys, *argv, "--out", str(dest))
     assert code == 2
     assert out == ""
     assert f"cannot write output {str(dest)!r}" in err
 
 
+def test_khintchine_out_check_leaves_no_file(tmp_path, capsys):
+    # the run files are checked before the trials by creating them; a run
+    # that then fails leaves neither behind
+    code, _, err = run(capsys, "experiment", "--name", "khintchine", "--d", "2",
+                       "--kind", "lcm", "--workers", "1", "--out", str(tmp_path / "k.json"))
+    assert code == 2
+    assert "unsupported kind lcm" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_heights_exponent_table(capsys):
-    code, out, _ = run(capsys, "heights", "--d", "2", "--exponents")
+    code, out, _ = run(capsys, "heights", "--d", "2")
     assert code == 0
     assert "lcm,2,1.5,1.5" in out
 
