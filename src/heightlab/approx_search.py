@@ -55,6 +55,9 @@ _REL_WIDTH_BITS = 40
 _SLOP = 1e-13
 # start precision of certified error intervals and of the float prefilters
 _CERT_BITS = 192
+# largest denominator and numerator of a counting tau: exact powers grow with
+# its terms, and past these bounds a count at cap 10 or a box probe can hang
+TAU_MAX_DEN, TAU_MAX_NUM = 1000, 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -968,6 +971,14 @@ def _aux_partner(target: RealTarget, q_min: int, tau: Fraction, aux_cap: int):
     return None
 
 
+def check_tau_terms(tau: Fraction) -> None:
+    """Reject a counting tau whose denominator or numerator is past its bound."""
+    if tau.denominator > TAU_MAX_DEN or tau.numerator > TAU_MAX_NUM:
+        raise ValueError(
+            f"tau must have denominator <= {TAU_MAX_DEN} and numerator <= {TAU_MAX_NUM}, got {tau}"
+        )
+
+
 def solutions_count(
     x: Sequence[RealTarget],
     kind: HeightKind,
@@ -985,6 +996,7 @@ def solutions_count(
     tau = Fraction(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
+    check_tau_terms(tau)
     d = len(targets)
     cap = _den_cap(kind, height_cap, d)
     if d == 1:

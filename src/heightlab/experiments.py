@@ -20,7 +20,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .approx_search import DEFAULT_ENUM_CAP, solutions_count
+from .approx_search import DEFAULT_ENUM_CAP, check_tau_terms, solutions_count
 from .errors import CapExceededError, InsufficientDataError
 from .exponents import omega_estimate
 from .heights import HeightKind, HeightValue, iroot
@@ -220,9 +220,6 @@ class SeriesReport:
     verdict: str
     partials: Tuple[Tuple[int, float], ...]
 
-    def csv_rows(self) -> List[Tuple[int, float]]:
-        return list(self.partials)
-
 
 def series_diagnostic(
     kind: HeightKind, d: int, tau: Fraction, s: Fraction, q_max: int = 10 ** 5
@@ -354,6 +351,7 @@ def box_count_probe(
     tau = Fraction(tau)
     if not 2 <= tau <= 8:
         raise ValueError("need 2 <= tau <= 8")
+    check_tau_terms(tau)
     root = 1 if kind is HeightKind.MAX else 2
     counts: List[Tuple[int, int]] = []
     for level in grid_levels:

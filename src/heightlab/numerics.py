@@ -80,10 +80,13 @@ class RealTarget:
     def __init__(self, key: tuple, budget: int = DEFAULT_PRECISION_BUDGET) -> None:
         self.key = key
         self.budget = budget
+        self._raw: dict[int, Interval] = {}
         self._best: Optional[Interval] = None
         self._best_bits = -1
 
     def _raw_enclosure(self, bits: int) -> Interval:
+        """An enclosure of width <= 2**-bits that is a function of (target,
+        bits) alone, so ``enclosure`` computes it once per bits and caches it."""
         raise NotImplementedError
 
     @property
@@ -98,14 +101,17 @@ class RealTarget:
             )
         if self._best is not None and bits <= self._best_bits:
             return self._best
-        raw = self._raw_enclosure(bits)
+        raw = self._raw.get(bits)
+        if raw is None:
+            raw = self._raw[bits] = self._raw_enclosure(bits)
         self._best = raw if self._best is None else self._best.intersect(raw)
         self._best_bits = bits
         return self._best
 
     def clone(self) -> "RealTarget":
-        """The same target with no enclosure computed yet.  A copy shares only
-        caches of exact data, such as ``BitsTarget``'s hash blocks."""
+        """The same target with no enclosure refined yet.  A copy shares only
+        the raw-enclosure cache, whose entries depend on (target, bits) alone,
+        so its enclosures equal a new object's."""
         c = copy.copy(self)
         c._best, c._best_bits = None, -1
         return c
@@ -200,18 +206,11 @@ class BitsTarget(RealTarget):
         super().__init__(("seed", seed, index), budget)
         self._seed = seed
         self._index = index
-        self._blocks: list[bytes] = []
-
-    def _block(self, i: int) -> bytes:
-        while len(self._blocks) <= i:
-            j = len(self._blocks)
-            msg = f"{self._seed}:{self._index}:{j}".encode()
-            self._blocks.append(hashlib.sha256(msg).digest())
-        return self._blocks[i]
 
     def _prefix(self, bits: int) -> int:
         nblocks = -(-bits // 256)
-        raw = b"".join(self._block(i) for i in range(nblocks))
+        raw = b"".join(hashlib.sha256(f"{self._seed}:{self._index}:{j}".encode()).digest()
+                       for j in range(nblocks))
         value = int.from_bytes(raw, "big")
         return value >> (nblocks * 256 - bits)
 

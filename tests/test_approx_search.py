@@ -708,8 +708,10 @@ def test_solution_count_matches_fraction_count(coords, kind):
 
 
 def test_count_rejects_nonpositive_tau():
-    with pytest.raises(ValueError):
-        solutions_count((golden_target(),), HeightKind.MAX, Fraction(0), HeightValue(10))
+    # as is a tau whose terms are past their bounds
+    for tau in (Fraction(0), Fraction("2.000000000000000000001")):
+        with pytest.raises(ValueError):
+            solutions_count((golden_target(),), HeightKind.MAX, tau, HeightValue(10))
 
 
 def test_budget_validation():

@@ -156,6 +156,8 @@ def test_nonpositive_enum_cap_is_usage_error(capsys, argv, cap):
         (("--target", "golden", "--count", "--tau", "0", "--bound", "10"), "tau must be positive"),
         (("--target", "golden", "--count", "--tau", "-1", "--bound", "10"),
          "tau must be positive"),
+        (("--target", "golden", "--count", "--tau", "2.000000000000000000001", "--bound", "10"),
+         "tau must have denominator <= 1000 and numerator <= 10000"),
     ],
 )
 def test_approx_library_argument_error_is_usage_error(capsys, argv, message):

@@ -333,6 +333,8 @@ def test_box_probe_validation():
         box_count_probe(HeightKind.MAX, Fraction(10))
     with pytest.raises(ValueError):
         box_count_probe(HeightKind.MAX, Fraction(4), grid_levels=[8])
+    with pytest.raises(ValueError, match="denominator <= 1000"):
+        box_count_probe(HeightKind.MAX, Fraction(2) + Fraction(1, 10 ** 7), grid_levels=[6, 7, 8])
 
 
 def test_min_split_fixture_counts():

@@ -241,14 +241,22 @@ class _DyadicTarget(RealTarget):
     ],
     ids=["rational", "cf", "bits", "liouville", "no_clone"],
 )
-def test_clone_is_independent_but_equal(make):
-    # a clone of a refined target encloses as a fresh one does
+def test_clone_is_independent_but_equal(make, monkeypatch):
+    # a clone of a refined target encloses as a fresh one does, from the raw
+    # enclosures its original already computed
     t = make()
-    t.enclosure(1024)
-    c, fresh = t.clone(), make()
-    assert type(c) is type(t) and c.key == t.key
+    raw, calls = type(t)._raw_enclosure, []
+    monkeypatch.setattr(
+        type(t), "_raw_enclosure", lambda self, bits: calls.append(bits) or raw(self, bits)
+    )
     for bits in (64, 192, 1024):
-        assert c.enclosure(bits) == fresh.enclosure(bits)
+        t.enclosure(bits)
+    assert calls == [64, 192, 1024]
+    c, fresh = t.clone(), make()
+    assert type(c) is type(t) and c.key == t.key and c._best_bits == -1
+    got = [c.enclosure(bits) for bits in (64, 192, 1024)]
+    assert calls == [64, 192, 1024]
+    assert got == [fresh.enclosure(bits) for bits in (64, 192, 1024)]
     assert t._best_bits == 1024
 
 
