@@ -81,58 +81,95 @@ class ApproxRecord:
 
 
 class _Atom:
-    """|target - frac| as a refinable certified quantity."""
+    """|target - frac| as a refinable certified quantity.
 
-    __slots__ = ("target", "frac", "exact")
+    ``interval(bits)`` gives the distance interval as integer ends
+    (ln, ld, un, ud), the error lying in [ln/ld, un/ud] with ld, ud > 0, so
+    comparisons cross-multiply and never normalise by a gcd.  The ends are
+    cached against the identity of the target's enclosure they were computed
+    from: ``RealTarget.enclosure`` returns the same object until it refines.
+    """
+
+    __slots__ = ("target", "frac", "exact", "_enc", "_ends")
 
     def __init__(self, target: RealTarget, frac: Fraction) -> None:
         self.target = target
         self.frac = frac
         ev = target.exact_value
         self.exact = abs(ev - frac) if ev is not None else None
-
-    def interval(self, bits: int) -> Interval:
+        self._enc: Optional[Interval] = None
         if self.exact is not None:
-            return Interval(self.exact, self.exact)
-        return refine(self.target, min(bits, self.target.budget)).distance(self.frac)
+            n, d = self.exact.numerator, self.exact.denominator
+            self._ends = (n, d, n, d)
+
+    def interval(self, bits: int) -> Tuple[int, int, int, int]:
+        if self.exact is not None:
+            return self._ends
+        enc = refine(self.target, min(bits, self.target.budget))
+        if enc is not self._enc:
+            self._enc = enc
+            self._ends = _distance_ends(enc, self.frac.numerator, self.frac.denominator)
+        return self._ends
 
     def float_bounds(self) -> Tuple[float, float]:
-        iv = self.interval(_CERT_BITS)
-        lo = max(0.0, math.nextafter(float(iv.lower), -math.inf))
-        return lo, math.nextafter(float(iv.upper), math.inf)
+        ln, ld, un, ud = self.interval(_CERT_BITS)
+        # int / int is correctly rounded, as float() of the Fraction is
+        lo = max(0.0, math.nextafter(ln / ld, -math.inf))
+        return lo, math.nextafter(un / ud, math.inf)
 
     @property
     def budget(self) -> int:
         return 0 if self.exact is not None else self.target.budget
 
 
+def _distance_ends(enc: Interval, p: int, q: int) -> Tuple[int, int, int, int]:
+    """Integer ends of ``enc.distance(p/q)``: for enc = [a/b, c/d] the signed
+    ends are (a*q - p*b)/(b*q) and (c*q - p*d)/(d*q), split into the same
+    three cases."""
+    a, b = enc.lower.numerator, enc.lower.denominator
+    c, d = enc.upper.numerator, enc.upper.denominator
+    lo, hi = a * q - p * b, c * q - p * d
+    if lo >= 0:
+        return lo, b * q, hi, d * q
+    if hi <= 0:
+        return -hi, d * q, -lo, b * q
+    # straddling: [0, max(-lo, hi)], the common factor q cancelling
+    if -lo * d >= hi * b:
+        return 0, 1, -lo, b * q
+    return 0, 1, hi, d * q
+
+
 def _cmp_atoms(u: _Atom, v: _Atom) -> int:
-    """Certified three-way comparison of two error atoms."""
+    """Certified three-way comparison of two error atoms, on integer
+    cross-products of their ends."""
     if u.exact is not None and v.exact is not None:
         return (u.exact > v.exact) - (u.exact < v.exact)
     if u.exact is None and v.exact is None and u.target.key == v.target.key:
-        if u.frac == v.frac:
+        p, q = u.frac.numerator, u.frac.denominator
+        r, s = v.frac.numerator, v.frac.denominator
+        if p == r and q == s:
             return 0
         # |x-a| vs |x-b| for a != b is decided by x against the midpoint
-        u_low = u.frac < v.frac
-        m = (u.frac + v.frac) / 2
+        # m = (p*s + r*q) / (2*q*s) of a = p/q and b = r/s
+        u_low = p * s < r * q
+        m_num, m_den = p * s + r * q, 2 * q * s
         target = u.target
         for bits in precisions(64, target.budget):
             e = refine(target, bits)
-            if e.upper < m:
+            if e.upper.numerator * m_den < m_num * e.upper.denominator:
                 return -1 if u_low else 1
-            if e.lower > m:
+            if e.lower.numerator * m_den > m_num * e.lower.denominator:
                 return 1 if u_low else -1
         raise PrecisionExhaustedError(
             f"cannot separate errors of {u.frac} and {v.frac} against {target.key}"
         )
     # distinct underlying reals: refinement race
     for bits in precisions(128, max(u.budget, v.budget)):
-        iu = u.interval(bits)
-        iv = v.interval(bits)
-        if iu.upper < iv.lower:
+        uln, uld, uun, uud = u.interval(bits)
+        vln, vld, vun, vud = v.interval(bits)
+        if uun * vld < vln * uud:
             return -1
-        if iv.upper < iu.lower:
+        if vun * uld < uln * vud:
             return 1
     raise PrecisionExhaustedError(
         "refinement race undecided between "
@@ -146,8 +183,18 @@ class ErrVal:
     __slots__ = ("point", "atoms", "_champ")
 
     def __init__(self, targets: Sequence[RealTarget], point: Sequence[Fraction]) -> None:
-        self.point = tuple(point)
-        self.atoms = tuple(_Atom(t, f) for t, f in zip(targets, self.point))
+        self._bind(tuple(_Atom(t, f) for t, f in zip(targets, point)))
+
+    @classmethod
+    def from_atoms(cls, atoms: Sequence[_Atom]) -> "ErrVal":
+        """The error of the point of ``atoms``, reusing their cached ends."""
+        ev = cls.__new__(cls)
+        ev._bind(tuple(atoms))
+        return ev
+
+    def _bind(self, atoms: Tuple[_Atom, ...]) -> None:
+        self.atoms = atoms
+        self.point = tuple(a.frac for a in atoms)
         self._champ: Optional[int] = None
 
     def champion(self) -> _Atom:
@@ -168,8 +215,14 @@ class ErrVal:
         return tied
 
     def interval(self, bits: int) -> Interval:
-        ivs = [a.interval(bits) for a in self.atoms]
-        return Interval(max(i.lower for i in ivs), max(i.upper for i in ivs))
+        ends = [a.interval(bits) for a in self.atoms]
+        ln, ld, un, ud = ends[0]
+        for a, b, c, d in ends[1:]:
+            if a * ld > ln * b:
+                ln, ld = a, b
+            if c * ud > un * d:
+                un, ud = c, d
+        return Interval(Fraction(ln, ld), Fraction(un, ud))
 
     def compare(self, other: "ErrVal") -> int:
         return _cmp_atoms(self.champion(), other.champion())
@@ -275,6 +328,7 @@ class _BestTable:
 
     def __init__(self, target: RealTarget) -> None:
         self.entries: List[Tuple[int, Fraction]] = []
+        self.dens: List[int] = []  # the entries' denominators, for bisection
         self._source = _best_entries(target)
         self._ahead: Optional[Tuple] = None  # the first entry past the cap, once read
 
@@ -283,19 +337,19 @@ class _BestTable:
             self._ahead = next(self._source, _END)
         while self._ahead[0] <= den_cap:
             self.entries.append(self._ahead)
+            self.dens.append(self._ahead[0])
             self._ahead = next(self._source, _END)
 
     def best_at(self, den_cap: int) -> Tuple[int, Fraction]:
         self.extend_to(den_cap)
-        idx = bisect_right(self.entries, den_cap, key=lambda e: e[0]) - 1
+        idx = bisect_right(self.dens, den_cap) - 1
         if idx < 0:
             raise ValueError("no entry at denominator cap >= 1")
         return self.entries[idx]
 
     def dens_up_to(self, den_cap: int) -> List[int]:
         self.extend_to(den_cap)
-        idx = bisect_right(self.entries, den_cap, key=lambda e: e[0])
-        return [d for d, _ in self.entries[:idx]]
+        return self.dens[:bisect_right(self.dens, den_cap)]
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +694,8 @@ def _simplest_point(targets, opt: ErrVal) -> Tuple[Fraction, ...]:
     for t in targets:
         for bits in precisions(_CERT_BITS, max(t.budget, champ.budget)):
             x = refine(t, min(bits, t.budget))
-            e = champ.interval(bits).upper
+            _, _, un, ud = champ.interval(bits)
+            e = Fraction(un, ud)
             c = _simplest(max(x.lower - e, Fraction(0)), x.upper + e)
             if _cmp_atoms(_Atom(t, c), champ) <= 0:
                 point.append(c)
@@ -796,23 +851,26 @@ def _frontier(
     tables = [_BestTable(t) for t in targets]
     for tb in tables:
         tb.extend_to(cap)
+    # one atom per entry, so a step reuses the ends cached by earlier steps
+    atoms = [[_Atom(t, f) for _, f in tb.entries] for t, tb in zip(targets, tables)]
+    den_lists = [tb.dens for tb in tables]
     product = kind in (HeightKind.PROD, HeightKind.PROD_ROOT)
     root = len(targets) if kind is HeightKind.PROD_ROOT else 1
     idx = [0] * len(tables)
     steps = 0
-    while all(k < len(tb.entries) for k, tb in zip(idx, tables)):
-        dens = [tb.entries[k][0] for k, tb in zip(idx, tables)]
+    while all(k < len(ds) for k, ds in zip(idx, den_lists)):
+        dens = [ds[k] for k, ds in zip(idx, den_lists)]
         if product:
             base = math.prod(dens)
             if base > cap:
                 return
         else:
             base = max(dens)
-            idx = [bisect_right(tb.entries, base, key=lambda e: e[0]) - 1 for tb in tables]
+            idx = [bisect_right(ds, base) - 1 for ds in den_lists]
         steps += 1
         if steps > enum_cap:
             raise CapExceededError("frontier walk exceeds enumeration cap")
-        ev = ErrVal(targets, [tb.entries[k][1] for k, tb in zip(idx, tables)])
+        ev = ErrVal.from_atoms([a[k] for k, a in zip(idx, atoms)])
         tied = ev.tied()
         yield HeightValue(base, root), ev
         for i in tied:
@@ -890,14 +948,17 @@ def record_csv_rows(chain: Sequence[ApproxRecord]) -> List[Tuple]:
 
 
 def _err_beats_power(atom: _Atom, base: int, tau: Fraction) -> bool:
-    """Certified check of |x - p/q| < base**(-tau)."""
+    """Certified check of |x - p/q| < base**(-tau): with tau = a/b and the
+    error in [n/m, n'/m'], true once n'**b * base**a < m'**b and false once
+    n**b * base**a >= m**b."""
     a, b = tau.numerator, tau.denominator
+    power = base ** a
     target = atom.target
     for bits in precisions(64, target.budget):
-        iv = atom.interval(bits)
-        if iv.upper ** b * base ** a < 1:
+        ln, ld, un, ud = atom.interval(bits)
+        if un ** b * power < ud ** b:
             return True
-        if iv.lower ** b * base ** a >= 1:
+        if ln ** b * power >= ld ** b:
             return False
     raise PrecisionExhaustedError(
         f"cannot decide |{target.key} - {atom.frac}| vs {base}^(-{tau})"
@@ -928,7 +989,7 @@ def _count_d1(target: RealTarget, tau: Fraction, cap: int, enum_cap: int) -> Lis
     q0 = _legendre_threshold(tau) if tau > 2 else cap + 1
     work = 0
     for q in range(1, min(q0, cap + 1)):
-        got = _solution_ps(target, q, q, tau)
+        got = _solution_ps(target, q, q, tau, _radius_den(q, tau))
         work += max(len(got), 1)
         if work > enum_cap:
             raise CapExceededError("direct window enumeration exceeds cap")
@@ -1007,24 +1068,35 @@ def solutions_count(
         return len(_min_witness_points(targets, tau, cap, aux_cap, enum_cap))
     grid = _grid_for(kind, d, cap, enum_cap)
     count = 0
+    radii = {}  # one radius per distinct height, not per tuple
     for dens in grid.tolist():
         hv = height_of_dens(dens, kind)
         # error < (base^(1/root))^(-tau) = base^(-tau/root)
+        htau = tau / hv.root
+        r_den = radii.get(hv)
+        if r_den is None:
+            r_den = radii[hv] = _radius_den(hv.base, htau)
         n = 1
         for t, q in zip(targets, dens):
-            n *= len(_solution_ps(t, q, hv.base, tau / hv.root))
+            n *= len(_solution_ps(t, q, hv.base, htau, r_den))
             if not n:
                 break
         count += n
     return count
 
 
-def _solution_ps(target: RealTarget, q: int, hbase: int, tau: Fraction) -> List[int]:
-    """Numerators p coprime to q with |x - p/q| < hbase**(-tau), certified."""
+def _radius_den(hbase: int, tau: Fraction) -> int:
+    """floor(hbase**tau): its reciprocal bounds hbase**(-tau) from above."""
+    return iroot(hbase ** tau.numerator, tau.denominator)
+
+
+def _solution_ps(target: RealTarget, q: int, hbase: int, tau: Fraction, r_den: int) -> List[int]:
+    """Numerators p coprime to q with |x - p/q| < hbase**(-tau), certified;
+    ``r_den`` is ``_radius_den(hbase, tau)``."""
     e = refine(target, min(128, target.budget))
     # iroot rounds down, so r >= hbase**(-tau): a solution's p/q lies within r
     # of x, hence in (e.lower - r, e.upper + r), and p inside the scanned range
-    r = Fraction(1, iroot(hbase ** tau.numerator, tau.denominator))
+    r = Fraction(1, r_den)
     out = []
     for p in range(math.floor(q * (e.lower - r)), math.ceil(q * (e.upper + r)) + 1):
         if math.gcd(p, q) != 1:

@@ -9,7 +9,6 @@ steps whose floors are certified before being accepted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -115,27 +114,24 @@ class ConvergentCursor:
         return self._certified_quotient()
 
     def _certified_quotient(self) -> int:
-        # tail t_n = (p_n - q_n x) / (q_{n-1} x - p_{n-1}); a_{n+1} = floor(1/t_n)
+        # tail t_n = (p_n - q_n x) / (q_{n-1} x - p_{n-1}); a_{n+1} = floor(1/t_n).
+        # For x in [A/B, C/D] the tail's numerator lies in [NL/D, NH/B] and
+        # its denominator in [DL/B, DH/D]; where neither interval holds 0 the
+        # reciprocal's extremes are the four end quotients, and floor is
+        # monotone, so a_{n+1} is certified when their floors agree.
         p_prev, p, q_prev, q = self._p_prev, self._p, self._q_prev, self._q
         for bits in precisions(self._bits, self.target.budget):
             e = refine(self.target, bits)
-            num_lo = p - q * e.upper
-            num_hi = p - q * e.lower
-            den_lo = q_prev * e.lower - p_prev
-            den_hi = q_prev * e.upper - p_prev
-            if num_lo > 0 or num_hi < 0:
-                if den_lo > 0 or den_hi < 0:
-                    quotients = [
-                        den_lo / num_lo,
-                        den_lo / num_hi,
-                        den_hi / num_lo,
-                        den_hi / num_hi,
-                    ]
-                    lo, hi = min(quotients), max(quotients)
-                    a_lo, a_hi = math.floor(lo), math.floor(hi)
-                    if a_lo == a_hi and a_lo >= 1:
-                        self._bits = bits
-                        return a_lo
+            A, B = e.lower.numerator, e.lower.denominator
+            C, D = e.upper.numerator, e.upper.denominator
+            NL, NH = p * D - q * C, p * B - q * A
+            DL, DH = q_prev * A - p_prev * B, q_prev * C - p_prev * D
+            if (NL > 0 or NH < 0) and (DL > 0 or DH < 0):
+                a = DL // NH
+                if (a >= 1 and DH // NL == a
+                        and DL * D // (B * NL) == a and DH * B // (D * NH) == a):
+                    self._bits = bits
+                    return a
         raise PrecisionExhaustedError(
             f"cannot certify partial quotient a_{self._n + 1} of {self.target.key}"
             f" within {self.target.budget} bits"

@@ -102,7 +102,8 @@ def _quotient(height: HeightValue, err: Interval) -> Interval:
 
 def _tail_len(heights: Iterable[HeightValue], warmup: int) -> int:
     """Entries past the warm-up height; an estimate needs at least 3."""
-    n = sum(1 for h in heights if h >= HeightValue(warmup))
+    cutoff = HeightValue(warmup)
+    n = sum(1 for h in heights if h >= cutoff)
     if n < 3:
         raise InsufficientDataError(f"{n} usable records past height {warmup}, need at least 3")
     return n

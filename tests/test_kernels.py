@@ -1,0 +1,362 @@
+"""The integer comparison kernels against pure ``Fraction`` arithmetic.
+
+``_cmp_atoms``, ``ConvergentCursor._certified_quotient`` and
+``_err_beats_power`` decide on integer cross-products of enclosure ends.  The
+references below are the ``Fraction`` versions they replaced, kept here
+only.  Results must be equal, a reference ``PrecisionExhaustedError`` must
+come back with the same message, and the enclosure requests, the
+(target.key, bits) of every ``RealTarget.enclosure`` call, must be the same
+sequence: records certify on their walk's own targets, so a change in
+refinement history would move certificates.
+"""
+
+import math
+from contextlib import contextmanager
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from heightlab import approx_search
+from heightlab.approx_search import (
+    Budget,
+    ErrVal,
+    _Atom,
+    _cmp_atoms,
+    _err_beats_power,
+    fast_best,
+    records,
+    solutions_count,
+)
+from heightlab.cf_engine import ConvergentCursor
+from heightlab.errors import PrecisionExhaustedError
+from heightlab.exponents import omega_estimate
+from heightlab.heights import HeightKind, HeightValue
+from heightlab.numerics import (
+    BitsTarget,
+    Interval,
+    RationalTarget,
+    RealTarget,
+    precisions,
+    refine,
+    sample_uniform,
+)
+
+# ---------------------------------------------------------------------------
+# references: the Fraction arithmetic of the kernels
+
+
+def _ref_interval(atom: _Atom, bits: int) -> Interval:
+    if atom.exact is not None:
+        return Interval(atom.exact, atom.exact)
+    return refine(atom.target, min(bits, atom.target.budget)).distance(atom.frac)
+
+
+def _ref_cmp_atoms(u: _Atom, v: _Atom) -> int:
+    if u.exact is not None and v.exact is not None:
+        return (u.exact > v.exact) - (u.exact < v.exact)
+    if u.exact is None and v.exact is None and u.target.key == v.target.key:
+        if u.frac == v.frac:
+            return 0
+        u_low = u.frac < v.frac
+        m = (u.frac + v.frac) / 2
+        target = u.target
+        for bits in precisions(64, target.budget):
+            e = refine(target, bits)
+            if e.upper < m:
+                return -1 if u_low else 1
+            if e.lower > m:
+                return 1 if u_low else -1
+        raise PrecisionExhaustedError(
+            f"cannot separate errors of {u.frac} and {v.frac} against {target.key}"
+        )
+    for bits in precisions(128, max(u.budget, v.budget)):
+        iu = _ref_interval(u, bits)
+        iv = _ref_interval(v, bits)
+        if iu.upper < iv.lower:
+            return -1
+        if iv.upper < iu.lower:
+            return 1
+    raise PrecisionExhaustedError(
+        "refinement race undecided between "
+        f"|{u.target.key} - {u.frac}| and |{v.target.key} - {v.frac}|"
+    )
+
+
+def _ref_certified_quotient(self: ConvergentCursor) -> int:
+    p_prev, p, q_prev, q = self._p_prev, self._p, self._q_prev, self._q
+    for bits in precisions(self._bits, self.target.budget):
+        e = refine(self.target, bits)
+        num_lo = p - q * e.upper
+        num_hi = p - q * e.lower
+        den_lo = q_prev * e.lower - p_prev
+        den_hi = q_prev * e.upper - p_prev
+        if num_lo > 0 or num_hi < 0:
+            if den_lo > 0 or den_hi < 0:
+                quotients = [
+                    den_lo / num_lo,
+                    den_lo / num_hi,
+                    den_hi / num_lo,
+                    den_hi / num_hi,
+                ]
+                lo, hi = min(quotients), max(quotients)
+                a_lo, a_hi = math.floor(lo), math.floor(hi)
+                if a_lo == a_hi and a_lo >= 1:
+                    self._bits = bits
+                    return a_lo
+    raise PrecisionExhaustedError(
+        f"cannot certify partial quotient a_{self._n + 1} of {self.target.key}"
+        f" within {self.target.budget} bits"
+    )
+
+
+def _ref_err_beats_power(atom: _Atom, base: int, tau: Fraction) -> bool:
+    a, b = tau.numerator, tau.denominator
+    target = atom.target
+    for bits in precisions(64, target.budget):
+        iv = _ref_interval(atom, bits)
+        if iv.upper ** b * base ** a < 1:
+            return True
+        if iv.lower ** b * base ** a >= 1:
+            return False
+    raise PrecisionExhaustedError(
+        f"cannot decide |{target.key} - {atom.frac}| vs {base}^(-{tau})"
+    )
+
+
+class _RefCursor(ConvergentCursor):
+    _certified_quotient = _ref_certified_quotient
+
+
+# ---------------------------------------------------------------------------
+# targets and recording
+
+
+class _Near(RealTarget):
+    """A chosen rational v behind dyadic enclosures, with no exact value, so
+    that every comparison goes through refinement: v may sit at 2^-k, at an
+    enclosure end, or where q*v is nearly an integer."""
+
+    def __init__(self, value: Fraction, budget: int) -> None:
+        super().__init__(("near", value), budget)
+        self._value = value
+
+    def _raw_enclosure(self, bits: int) -> Interval:
+        k = math.floor(self._value * (1 << bits))
+        return Interval(Fraction(k, 1 << bits), Fraction(k + 1, 1 << bits))
+
+
+def _build(spec):
+    kind, value, budget = spec
+    if kind == "seed":
+        return BitsTarget(value, 0, budget)
+    if kind == "near":
+        return _Near(value, budget)
+    return RationalTarget(value)
+
+
+@contextmanager
+def _recorded():
+    """The (target.key, bits) of every enclosure request made in the block."""
+    log = []
+    enclosure = RealTarget.enclosure
+
+    def logged(self, bits):
+        log.append((self.key, bits))
+        return enclosure(self, bits)
+
+    with mock.patch.object(RealTarget, "enclosure", logged):
+        yield log
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except PrecisionExhaustedError as exc:
+        return "raises", str(exc)
+
+
+budgets = st.sampled_from([64, 128, 256, 1024])
+
+
+@st.composite
+def target_specs(draw, rational=True):
+    kind = draw(st.sampled_from(["seed", "pow2", "qx", "rational"] if rational
+                                else ["seed", "pow2", "qx"]))
+    budget = draw(budgets)
+    if kind == "seed":
+        return "seed", draw(st.integers(0, 10 ** 6)), budget
+    if kind == "pow2":
+        # x at 2^-k or just off it
+        k = draw(st.integers(1, 60))
+        off = draw(st.integers(-3, 3)) * Fraction(1, 2 ** draw(st.integers(k + 2, k + 400)))
+        return "near", Fraction(1, 2 ** k) + off, budget
+    if kind == "qx":
+        # q*x within 2^-j of an integer
+        q = draw(st.integers(2, 10 ** 9))
+        n = draw(st.integers(1, q - 1))
+        off = draw(st.integers(-3, 3)) * Fraction(1, 2 ** draw(st.integers(1, 400)))
+        return "near", (n + off) / q, budget
+    num = draw(st.integers(0, 10 ** 12))
+    return "rational", Fraction(num, draw(st.integers(num + 1, 10 ** 12 + 1))), budget
+
+
+@st.composite
+def fracs_for(draw, spec):
+    """A fraction near the spec's target: a close p/q, or an end of one of
+    its enclosures, where the distance interval straddles 0."""
+    x = _build(spec)
+    if draw(st.booleans()) and x.exact_value is None:
+        e = x.enclosure(min(draw(st.sampled_from([64, 128, 256])), spec[2]))
+        return e.lower if draw(st.booleans()) else e.upper
+    q = draw(st.integers(1, 10 ** 12))
+    approx = x.exact_value if x.exact_value is not None else x.enclosure(64).lower
+    return Fraction(math.floor(approx * q) + draw(st.integers(-1, 2)), q)
+
+
+@st.composite
+def atom_pairs(draw):
+    u_spec = draw(target_specs())
+    fu = draw(fracs_for(u_spec))
+    same = u_spec[0] != "rational" and draw(st.booleans())
+    if same and draw(st.booleans()):
+        # mirror ties: the midpoint is an end of the 64-bit enclosure, and x
+        # itself when x is dyadic
+        fv = 2 * _build(u_spec).enclosure(64).lower - fu
+        if fv != fu:
+            return u_spec, fu, u_spec, fv, same
+    v_spec = u_spec if same else draw(target_specs())
+    return u_spec, fu, v_spec, draw(fracs_for(v_spec)), same
+
+
+def _atoms(case):
+    u_spec, fu, v_spec, fv, same = case
+    tu = _build(u_spec)
+    tv = tu if same else _build(v_spec)
+    return _Atom(tu, fu), _Atom(tv, fv)
+
+
+# ---------------------------------------------------------------------------
+# the kernels against their references
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=atom_pairs())
+def test_cmp_atoms_matches_fraction_reference(case):
+    with _recorded() as log:
+        got = _outcome(_cmp_atoms, *_atoms(case))
+    with _recorded() as ref_log:
+        want = _outcome(_ref_cmp_atoms, *_atoms(case))
+    assert got == want
+    assert log == ref_log
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=atom_pairs(), bits=st.sampled_from([64, 128, 192, 256]))
+def test_atom_ends_match_interval_distance(case, bits):
+    u, v = _atoms(case)
+    for atom in (u, v):
+        ln, ld, un, ud = atom.interval(bits)
+        assert Interval(Fraction(ln, ld), Fraction(un, ud)) == _ref_interval(atom, bits)
+    ivs = [_ref_interval(a, bits) for a in (u, v)]
+    assert ErrVal.from_atoms((u, v)).interval(bits) == Interval(
+        max(i.lower for i in ivs), max(i.upper for i in ivs))
+
+
+def _quotients(cursor, n):
+    rows = []
+    try:
+        for _ in range(n):
+            row = cursor.advance()
+            if row is None:
+                break
+            rows.append((row.a, row.p, row.q))
+    except PrecisionExhaustedError as exc:
+        rows.append(str(exc))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=target_specs(rational=False), n=st.integers(1, 60))
+def test_certified_quotient_matches_fraction_reference(spec, n):
+    with _recorded() as log:
+        got = _quotients(ConvergentCursor(_build(spec)), n)
+    with _recorded() as ref_log:
+        want = _quotients(_RefCursor(_build(spec)), n)
+    assert got == want
+    assert log == ref_log
+
+
+@st.composite
+def power_cases(draw):
+    spec = draw(target_specs())
+    base = draw(st.one_of(st.integers(1, 60), st.sampled_from([2, 4, 8])))
+    tau = Fraction(draw(st.integers(1, 400)), draw(st.integers(1, 100)))
+    if draw(st.booleans()):
+        # the error is base^-a exactly, an end of the enclosures of a dyadic
+        # x: an exact atom is decided false, and an inexact one never
+        a = draw(st.integers(1, 8))
+        frac = draw(fracs_for(spec))
+        x = frac + draw(st.sampled_from([-1, 1])) * Fraction(1, base ** a)
+        if 0 <= x < 1:
+            kind = "rational" if spec[0] == "rational" else "near"
+            return (kind, x, spec[2]), frac, base, Fraction(a)
+    return spec, draw(fracs_for(spec)), base, tau
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=power_cases())
+def test_err_beats_power_matches_fraction_reference(case):
+    spec, frac, base, tau = case
+    with _recorded() as log:
+        got = _outcome(_err_beats_power, _Atom(_build(spec), frac), base, tau)
+    with _recorded() as ref_log:
+        want = _outcome(_ref_err_beats_power, _Atom(_build(spec), frac), base, tau)
+    assert got == want
+    assert log == ref_log
+
+
+# ---------------------------------------------------------------------------
+# refinement history of whole calls
+
+
+HISTORY_CALLS = {
+    "omega_max_d3": lambda: omega_estimate(
+        sample_uniform(42003, 3), HeightKind.MAX, HeightValue(10 ** 6)),
+    "omega_prod_root_d3": lambda: omega_estimate(
+        sample_uniform(42003, 3), HeightKind.PROD_ROOT, HeightValue(10 ** 6)),
+    "records_prod_d2": lambda: records(
+        sample_uniform(7, 2), HeightKind.PROD, HeightValue(10 ** 9)),
+    "fast_best_prod_d2": lambda: fast_best(
+        sample_uniform(21, 2), Budget(HeightKind.PROD, HeightValue(10 ** 5))),
+    "count_max_d2": lambda: solutions_count(
+        sample_uniform(1, 2), HeightKind.MAX, Fraction(3, 2), HeightValue(25)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HISTORY_CALLS))
+def test_kernels_keep_refinement_history(name, monkeypatch):
+    call = HISTORY_CALLS[name]
+    with _recorded() as log:
+        got = call()
+    used = []
+
+    def counted(fn):
+        def wrapper(*args):
+            used.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(approx_search, "_cmp_atoms", counted(_ref_cmp_atoms))
+    monkeypatch.setattr(approx_search, "_err_beats_power", counted(_ref_err_beats_power))
+    monkeypatch.setattr(ConvergentCursor, "_certified_quotient", counted(_ref_certified_quotient))
+    with _recorded() as ref_log:
+        want = call()
+    assert got == want
+    assert log == ref_log
+    # the references really ran in place of the kernels
+    if name.startswith("count"):
+        assert "_ref_err_beats_power" in used
+    else:
+        assert "_ref_cmp_atoms" in used and "_ref_certified_quotient" in used
