@@ -44,7 +44,7 @@ import numpy as np
 
 from .cf_engine import ConvergentCursor
 from .errors import CapExceededError, PrecisionExhaustedError, UnboundedSearchError
-from .heights import HeightKind, HeightValue, height, height_of_dens, iroot
+from .heights import HeightKind, HeightValue, floor_pow, height, height_of_dens, iroot
 from .numerics import Interval, RealTarget, precisions, refine
 
 DEFAULT_ENUM_CAP = 10 ** 7
@@ -947,18 +947,20 @@ def record_csv_rows(chain: Sequence[ApproxRecord]) -> List[Tuple]:
 # solution counting
 
 
-def _err_beats_power(atom: _Atom, base: int, tau: Fraction) -> bool:
-    """Certified check of |x - p/q| < base**(-tau): with tau = a/b and the
-    error in [n/m, n'/m'], true once n'**b * base**a < m'**b and false once
-    n**b * base**a >= m**b."""
+def _err_beats_power(atom: _Atom, base: int, tau: Fraction, r: int) -> bool:
+    """Certified check of |x - p/q| < base**(-tau), given r = floor(base**tau).
+
+    With the error in [n/m, n'/m'], an end at most 1/(r+1) lies below
+    base**(-tau) and an end at least 1/r does not.  Only an end whose
+    reciprocal lies strictly between r and r+1 is raised to b for tau = a/b:
+    true once n'**b * base**a < m'**b, false once n**b * base**a >= m**b."""
     a, b = tau.numerator, tau.denominator
-    power = base ** a
     target = atom.target
     for bits in precisions(64, target.budget):
         ln, ld, un, ud = atom.interval(bits)
-        if un ** b * power < ud ** b:
+        if ud >= (r + 1) * un or (ud > r * un and un ** b * base ** a < ud ** b):
             return True
-        if ln ** b * power >= ld ** b:
+        if ld <= r * ln or (ld < (r + 1) * ln and ln ** b * base ** a >= ld ** b):
             return False
     raise PrecisionExhaustedError(
         f"cannot decide |{target.key} - {atom.frac}| vs {base}^(-{tau})"
@@ -967,10 +969,9 @@ def _err_beats_power(atom: _Atom, base: int, tau: Fraction) -> bool:
 
 def _legendre_threshold(tau: Fraction) -> int:
     """Smallest q with q^(tau-2) >= 2; above it solutions are convergents."""
-    a, b = tau.numerator, tau.denominator
-    e = a - 2 * b
-    t = iroot(2 ** b, e)
-    return t if t ** e >= 2 ** b else t + 1
+    e = tau - 2
+    t = floor_pow(2, 1 / e)
+    return t if t ** e.numerator >= 2 ** e.denominator else t + 1
 
 
 def _convergents(target: RealTarget, q_lo: int, q_hi: int) -> Iterator[Fraction]:
@@ -989,14 +990,15 @@ def _count_d1(target: RealTarget, tau: Fraction, cap: int, enum_cap: int) -> Lis
     q0 = _legendre_threshold(tau) if tau > 2 else cap + 1
     work = 0
     for q in range(1, min(q0, cap + 1)):
-        got = _solution_ps(target, q, q, tau, _radius_den(q, tau))
+        got = _solution_ps(target, q, q, tau, floor_pow(q, tau))
         work += max(len(got), 1)
         if work > enum_cap:
             raise CapExceededError("direct window enumeration exceeds cap")
         sols.extend(Fraction(p, q) for p in got)
     if q0 <= cap:
         for c in _convergents(target, q0, cap):
-            if _err_beats_power(_Atom(target, c), c.denominator, tau):
+            q = c.denominator
+            if _err_beats_power(_Atom(target, c), q, tau, floor_pow(q, tau)):
                 sols.append(c)
     return sols
 
@@ -1026,8 +1028,9 @@ def _min_witness_points(
 
 
 def _aux_partner(target: RealTarget, q_min: int, tau: Fraction, aux_cap: int):
+    r = floor_pow(q_min, tau)
     for c in _convergents(target, q_min, aux_cap):
-        if _err_beats_power(_Atom(target, c), q_min, tau):
+        if _err_beats_power(_Atom(target, c), q_min, tau, r):
             return c
     return None
 
@@ -1075,7 +1078,7 @@ def solutions_count(
         htau = tau / hv.root
         r_den = radii.get(hv)
         if r_den is None:
-            r_den = radii[hv] = _radius_den(hv.base, htau)
+            r_den = radii[hv] = floor_pow(hv.base, htau)
         n = 1
         for t, q in zip(targets, dens):
             n *= len(_solution_ps(t, q, hv.base, htau, r_den))
@@ -1085,22 +1088,17 @@ def solutions_count(
     return count
 
 
-def _radius_den(hbase: int, tau: Fraction) -> int:
-    """floor(hbase**tau): its reciprocal bounds hbase**(-tau) from above."""
-    return iroot(hbase ** tau.numerator, tau.denominator)
-
-
 def _solution_ps(target: RealTarget, q: int, hbase: int, tau: Fraction, r_den: int) -> List[int]:
     """Numerators p coprime to q with |x - p/q| < hbase**(-tau), certified;
-    ``r_den`` is ``_radius_den(hbase, tau)``."""
+    ``r_den`` is ``floor_pow(hbase, tau)``."""
     e = refine(target, min(128, target.budget))
-    # iroot rounds down, so r >= hbase**(-tau): a solution's p/q lies within r
+    # floor_pow rounds down, so r >= hbase**(-tau): a solution's p/q lies within r
     # of x, hence in (e.lower - r, e.upper + r), and p inside the scanned range
     r = Fraction(1, r_den)
     out = []
     for p in range(math.floor(q * (e.lower - r)), math.ceil(q * (e.upper + r)) + 1):
         if math.gcd(p, q) != 1:
             continue
-        if _err_beats_power(_Atom(target, Fraction(p, q)), hbase, tau):
+        if _err_beats_power(_Atom(target, Fraction(p, q)), hbase, tau, r_den):
             out.append(p)
     return out

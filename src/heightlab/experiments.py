@@ -16,14 +16,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import median
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .approx_search import DEFAULT_ENUM_CAP, check_tau_terms, solutions_count
 from .errors import CapExceededError, InsufficientDataError
 from .exponents import omega_estimate
-from .heights import HeightKind, HeightValue, iroot
+from .heights import HeightKind, HeightValue, floor_pow
 from .numerics import (
     DEFAULT_PRECISION_BUDGET,
     golden_target,
@@ -287,11 +287,11 @@ def _band(level: int, tau: Fraction, root: int) -> range:
     """Heights n in (B^root / 2^root, B^root] with B = 2^(level/tau).
 
     root = 1 gives the max heights q, root = 2 the products q1*q2.  With
-    tau = a/b and r = iroot(2^(root*level*b), a), n <= B^root iff n <= r, and
-    n > B^root / 2^root iff 2^root * n > r, i.e. n > r // 2^root.  The band
-    is never empty: r >= 1, and r // 2^root + 1 <= r for every r >= 1.
+    r = floor(B^root), n <= B^root iff n <= r, and n > B^root / 2^root iff
+    2^root * n > r, i.e. n > r // 2^root.  The band is never empty: r >= 1,
+    and r // 2^root + 1 <= r for every r >= 1.
     """
-    r = iroot(1 << (root * level * tau.denominator), tau.numerator)
+    r = floor_pow(1 << (root * level), 1 / tau)
     return range(r // 2 ** root + 1, r + 1)
 
 
@@ -309,8 +309,8 @@ def _den_pairs(kind: HeightKind, n: int) -> Iterator[Tuple[int, int]]:
                 yield q1, n // q1
 
 
-def _cells(q: int, k: int, level: int) -> Set[int]:
-    """Indices of the level-``level`` dyadic cells met by the balls
+def _cells(q: int, k: int, level: int) -> int:
+    """Bitmask of the level-``level`` dyadic cells met by the balls
     [p/q - 1/k, p/q + 1/k] with 0 <= p < q and gcd(p, q) = 1.
 
     The ball's ends scaled by 2^level are (p*k -+ q) * 2^level / (q*k), so
@@ -318,13 +318,19 @@ def _cells(q: int, k: int, level: int) -> Set[int]:
     """
     top = (1 << level) - 1
     den = q * k
-    out: Set[int] = set()
+    out = 0
     for p in range(q):
         if math.gcd(p, q) == 1:
             lo = max(0, ((p * k - q) << level) // den)
             hi = min(top, ((p * k + q) << level) // den)
-            out.update(range(lo, hi + 1))
+            out |= ((2 << (hi - lo)) - 1) << lo
     return out
+
+
+def _bits(mask: int) -> List[int]:
+    """Indices of the set bits of ``mask``."""
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
 
 def box_count_probe(
@@ -337,10 +343,14 @@ def box_count_probe(
     matches the cell scale, then fit log(count) against log(1/delta).
 
     The balls are centred at (p1/q1, p2/q2) in lowest terms with radius
-    1/k, k = ``_theta_radius(n, tau, root).denominator`` at height n.  Radii
-    and cells are exact integer arithmetic; only the fit uses floats.  The
-    cells met by the balls of one denominator pair are the product of the
-    cells met in each coordinate.
+    1/k at height n = Theta^root, where k = floor(Theta^tau) is
+    ``floor_pow(n, tau / root)``, so 1/k >= Theta^(-tau) with equality on
+    exact roots.  Radii and cells are exact integer arithmetic; only the fit
+    uses floats.  The cells met by the balls of one denominator pair are the
+    product of the cells met in each coordinate, so a level's count is the
+    sum over x-cells of the y-cells met above them: each x-cell keeps one
+    integer row, the OR of the y-masks of the partners q2 of every q1 whose
+    balls meet it.
 
     Exploratory: finite scales only bracket the limsup set loosely.
     """
@@ -352,32 +362,29 @@ def box_count_probe(
     if not 2 <= tau <= 8:
         raise ValueError("need 2 <= tau <= 8")
     check_tau_terms(tau)
+    levels = list(grid_levels)
+    if len(levels) < 3 or min(levels) < 0:
+        raise ValueError(f"fit needs at least 3 grid levels, each >= 0, got {levels}")
     root = 1 if kind is HeightKind.MAX else 2
     counts: List[Tuple[int, int]] = []
-    for level in grid_levels:
-        cells = set()
+    for level in levels:
+        rows = [0] * (1 << level)
         for n in _band(level, tau, root):
-            k = _theta_radius(n, tau, root).denominator
-            for q1, q2 in _den_pairs(kind, n):
-                xs, ys = _cells(q1, k, level), _cells(q2, k, level)
-                cells.update((ix << level) + iy for ix in xs for iy in ys)
-        counts.append((level, len(cells)))
-    if len(counts) < 3:
-        raise ValueError("fit needs at least 3 non-empty levels")
+            k = floor_pow(n, tau / root)
+            pairs = list(_den_pairs(kind, n))
+            masks = {q: _cells(q, k, level) for q in {q for pair in pairs for q in pair}}
+            partners: Dict[int, int] = {}
+            for q1, q2 in pairs:
+                partners[q1] = partners.get(q1, 0) | masks[q2]
+            for q1, ys in partners.items():
+                for ix in _bits(masks[q1]):
+                    rows[ix] |= ys
+        counts.append((level, sum(row.bit_count() for row in rows)))
     xs = np.array([lv for lv, _ in counts], dtype=np.float64) * math.log(2.0)
     ys = np.log(np.array([c for _, c in counts], dtype=np.float64))
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
     return BoxCountReport(kind, tau, tuple(counts), (), float(slope), resid)
-
-
-def _theta_radius(theta: int, tau: Fraction, root: int) -> Fraction:
-    """Upper bound on Theta^(-tau) where Theta = theta^(1/root).
-
-    With k = iroot(theta^a, b * root) for tau = a/b, k^(b*root) <= theta^a,
-    so k <= Theta^tau and 1/k >= Theta^(-tau); equality holds on exact roots.
-    """
-    return Fraction(1, iroot(theta ** tau.numerator, tau.denominator * root))
 
 
 @dataclass(frozen=True)

@@ -40,15 +40,28 @@ def iroot(n: int, k: int) -> int:
         return n
     if k >= n.bit_length():  # n < 2**k
         return 1
-    x = 1 << ((n.bit_length() + k - 1) // k)
+    # Seed from the top 64 bits.  With shift = k*s + t, n < top * 2**shift
+    # gives n**(1/k) < 2**s * 2**((log2(top) + t)/k).  That exponent is below
+    # 33 and its float value is off by a few ulps of 33, under 2**-44, so the
+    # float power is within a factor 1 + 2**-43 of the true one; widening it
+    # by 1 + 2**-40 and rounding up twice makes x an upper bound.
+    shift = max(n.bit_length() - 64, 0)
+    s, t = divmod(shift, k)
+    top = (n >> shift) + 1
+    mant = int(2.0 ** ((math.log2(top) + t) / k) * (1 + 2.0 ** -40) * 2.0 ** 52) + 1
+    x = ((mant << s) >> 52) + 1
+    # From any x >= the root, each integer Newton step stays >= the root (AM-GM)
+    # and falls while above it, so the loop stops exactly at the root.
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
-            break
+            return x
         x = y
-    while x ** k > n:
-        x -= 1
-    return x
+
+
+def floor_pow(x: int, e: Fraction) -> int:
+    """floor(x**e) for an integer x >= 0 and a rational e > 0."""
+    return iroot(x ** e.numerator, e.denominator)
 
 
 def _canonical(base: int, root: int) -> tuple:

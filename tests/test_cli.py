@@ -264,6 +264,16 @@ def test_experiment_box(capsys):
     assert out.splitlines()[-1].startswith("slope=")
 
 
+# the levels are checked before any level is counted
+@pytest.mark.parametrize("levels, shown", [("6..7", "[6, 7]"), ("-2..3", "[-2, -1, 0, 1, 2, 3]")])
+def test_experiment_box_levels_are_a_usage_error(capsys, levels, shown):
+    code, out, err = run(capsys, "experiment", "--name", "box", "--kind", "max",
+                         "--tau", "4", f"--levels={levels}")
+    assert code == 2
+    assert out == ""
+    assert f"at least 3 grid levels, each >= 0, got {shown}" in err
+
+
 def test_experiment_unknown_name(capsys):
     code, _, err = run(capsys, "experiment", "--name", "nope")
     assert code == 2

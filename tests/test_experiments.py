@@ -11,14 +11,13 @@ from heightlab.experiments import (
     RunConfig,
     _band,
     _cells,
-    _theta_radius,
     box_count_probe,
     critical_exponent,
     khintchine_experiment,
     min_split_experiment,
     series_diagnostic,
 )
-from heightlab.heights import HeightKind, HeightValue
+from heightlab.heights import HeightKind, HeightValue, floor_pow
 
 CAPS = (HeightValue(10 ** 3), HeightValue(10 ** 5))
 
@@ -173,26 +172,6 @@ def test_box_probe_frozen_counts_and_slope():
     assert 0.7 < bc.slope < 1.3
 
 
-@pytest.mark.parametrize(
-    "theta, tau, root, want",
-    [
-        (8, Fraction(1), 1, Fraction(1, 8)),
-        (8, Fraction(1, 3), 1, Fraction(1, 2)),
-        (10, Fraction(1, 2), 1, Fraction(1, 3)),
-        (16, Fraction(3, 2), 2, Fraction(1, 8)),
-        (17, Fraction(3, 2), 2, Fraction(1, 8)),
-        (2, Fraction(9, 4), 2, Fraction(1, 2)),
-        (1, Fraction(7, 3), 2, Fraction(1)),
-        # theta**799 overflows a float
-        (3, Fraction(799, 100), 1, Fraction(1, 6489)),
-        (3, Fraction(799, 100), 2, Fraction(1, 80)),
-        (3, Fraction(799, 100), 3, Fraction(1, 18)),
-    ],
-)
-def test_theta_radius_exact_values(theta, tau, root, want):
-    assert _theta_radius(theta, tau, root) == want
-
-
 def _band_by_loop(level, tau, root):
     """Heights in (B^root / 2^root, B^root] by counting up to the top one."""
     a, b = tau.numerator, tau.denominator
@@ -258,7 +237,7 @@ def _fraction_level_counts(kind, tau, levels):
     for level in levels:
         cells = set()
         for c1, c2, n in points(_band(level, tau, root)):
-            radius = _theta_radius(n, tau, root)
+            radius = Fraction(1, floor_pow(n, tau / root))
             for ix in _cell_span(c1, radius, level):
                 for iy in _cell_span(c2, radius, level):
                     cells.add((ix, iy))
@@ -289,10 +268,12 @@ def test_box_probe_counts_match_fraction_enumerator(kind, tau, top):
 
 
 def _fraction_cells(q, k, level):
+    """The cells as a bitmask, one bit per Fraction cell index."""
     radius = Fraction(1, k)
-    return {
+    cells = {
         ix for p in _coprime_lists(q) for ix in _cell_span(Fraction(p, q), radius, level)
     }
+    return sum(1 << ix for ix in cells)
 
 
 @pytest.mark.parametrize(

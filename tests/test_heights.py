@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heightlab.heights import HeightKind, HeightValue, fs_exponent, height, iroot
+from heightlab.heights import HeightKind, HeightValue, floor_pow, fs_exponent, height, iroot
 
 ALL_KINDS = list(HeightKind)
 
@@ -154,6 +154,26 @@ def test_single_coordinate_heights_agree(r):
 def test_iroot_is_floor_root(n, k):
     r = iroot(n, k)
     assert r ** k <= n < (r + 1) ** k
+
+
+@pytest.mark.parametrize(
+    "x, e, want",
+    [
+        (8, Fraction(1), 8),
+        (8, Fraction(1, 3), 2),
+        (10, Fraction(1, 2), 3),
+        (16, Fraction(3, 4), 8),
+        (17, Fraction(3, 4), 8),
+        (2, Fraction(9, 8), 2),
+        (1, Fraction(7, 6), 1),
+        # x**799 overflows a float
+        (3, Fraction(799, 100), 6489),
+        (3, Fraction(799, 200), 80),
+        (3, Fraction(799, 300), 18),
+    ],
+)
+def test_floor_pow_exact_values(x, e, want):
+    assert floor_pow(x, e) == want
 
 
 def test_fs_exponent_exact_kinds():

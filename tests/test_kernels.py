@@ -8,9 +8,14 @@ come back with the same message, and the enclosure requests, the
 (target.key, bits) of every ``RealTarget.enclosure`` call, must be the same
 sequence: records certify on their walk's own targets, so a change in
 refinement history would move certificates.
+
+``iroot`` seeds Newton's method from a float root, and ``floor_pow`` is
+floor(x**e) through it; both are checked against the Newton iteration it
+replaced, seeded at 2**ceil(bits/k).
 """
 
 import math
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -32,7 +37,7 @@ from heightlab.approx_search import (
 from heightlab.cf_engine import ConvergentCursor
 from heightlab.errors import PrecisionExhaustedError
 from heightlab.exponents import omega_estimate
-from heightlab.heights import HeightKind, HeightValue
+from heightlab.heights import HeightKind, HeightValue, floor_pow, iroot
 from heightlab.numerics import (
     BitsTarget,
     Interval,
@@ -111,7 +116,8 @@ def _ref_certified_quotient(self: ConvergentCursor) -> int:
     )
 
 
-def _ref_err_beats_power(atom: _Atom, base: int, tau: Fraction) -> bool:
+def _ref_err_beats_power(atom: _Atom, base: int, tau: Fraction, r: int) -> bool:
+    # r = floor(base**tau) is the kernel's shortcut; the reference ignores it
     a, b = tau.numerator, tau.denominator
     target = atom.target
     for bits in precisions(64, target.budget):
@@ -292,16 +298,29 @@ def test_certified_quotient_matches_fraction_reference(spec, n):
 def power_cases(draw):
     spec = draw(target_specs())
     base = draw(st.one_of(st.integers(1, 60), st.sampled_from([2, 4, 8])))
-    tau = Fraction(draw(st.integers(1, 400)), draw(st.integers(1, 100)))
     if draw(st.booleans()):
+        tau = Fraction(draw(st.integers(1, 400)), draw(st.integers(1, 100)))
+    else:
+        # long terms, up to the counting bounds
+        tau = Fraction(draw(st.integers(1, 10 ** 4)), draw(st.integers(1, 1000)))
+    mode = draw(st.sampled_from(["plain", "power", "window"]))
+    kind = "rational" if spec[0] == "rational" else "near"
+    if mode == "power":
         # the error is base^-a exactly, an end of the enclosures of a dyadic
         # x: an exact atom is decided false, and an inexact one never
         a = draw(st.integers(1, 8))
         frac = draw(fracs_for(spec))
         x = frac + draw(st.sampled_from([-1, 1])) * Fraction(1, base ** a)
         if 0 <= x < 1:
-            kind = "rational" if spec[0] == "rational" else "near"
             return (kind, x, spec[2]), frac, base, Fraction(a)
+    if mode == "window":
+        # the error 1/(r + u) lies strictly inside (1/(r+1), 1/r), where only
+        # the powers of the ends decide
+        u = Fraction(draw(st.integers(1, 999)), 1000)
+        frac = draw(fracs_for(spec))
+        x = frac + draw(st.sampled_from([-1, 1])) / (floor_pow(base, tau) + u)
+        if 0 <= x < 1:
+            return (kind, x, spec[2]), frac, base, tau
     return spec, draw(fracs_for(spec)), base, tau
 
 
@@ -309,12 +328,73 @@ def power_cases(draw):
 @given(case=power_cases())
 def test_err_beats_power_matches_fraction_reference(case):
     spec, frac, base, tau = case
+    r = floor_pow(base, tau)
     with _recorded() as log:
-        got = _outcome(_err_beats_power, _Atom(_build(spec), frac), base, tau)
+        got = _outcome(_err_beats_power, _Atom(_build(spec), frac), base, tau, r)
     with _recorded() as ref_log:
-        want = _outcome(_ref_err_beats_power, _Atom(_build(spec), frac), base, tau)
+        want = _outcome(_ref_err_beats_power, _Atom(_build(spec), frac), base, tau, r)
     assert got == want
     assert log == ref_log
+
+
+# ---------------------------------------------------------------------------
+# the float-seeded root against the old seed
+
+
+def _ref_iroot(n: int, k: int) -> int:
+    if k == 1 or n < 2:
+        return n
+    if k >= n.bit_length():
+        return 1
+    x = 1 << ((n.bit_length() + k - 1) // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    while x ** k > n:
+        x -= 1
+    return x
+
+
+@st.composite
+def root_cases(draw):
+    """n up to 40 000 bits and k up to 2000: random n, all-ones and powers
+    of two (the top word at its extremes), and exact powers +-1."""
+    k = draw(st.sampled_from([2, 3, 63, 64, 65, 1999, 2000]) | st.integers(1, 2000))
+    bits = draw(st.sampled_from([63, 64, 65, 128, 4000, 39999, 40000]) | st.integers(1, 40000))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    shape = draw(st.sampled_from(["random", "ones", "pow2", "power"]))
+    if shape == "ones":
+        return (1 << bits) - 1, k
+    if shape == "pow2":
+        return 1 << (bits - 1), k
+    if shape == "power":
+        r = rng.getrandbits(max(bits // k, 1))
+        return max(r ** k + draw(st.integers(-1, 1)), 0), k
+    return rng.getrandbits(bits), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=root_cases())
+def test_iroot_matches_newton_from_power_of_two_seed(case):
+    n, k = case
+    assert iroot(n, k) == _ref_iroot(n, k)
+
+
+@st.composite
+def pow_cases(draw):
+    """x**e with tau-like terms, up to 40 000 bits."""
+    x = draw(st.integers(0, 10 ** 6))
+    num = draw(st.integers(1, min(10 ** 4, 40000 // max(x.bit_length(), 1))))
+    return x, Fraction(num, draw(st.integers(1, 1000)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=pow_cases())
+def test_floor_pow_matches_newton_from_power_of_two_seed(case):
+    x, e = case
+    assert floor_pow(x, e) == _ref_iroot(x ** e.numerator, e.denominator)
 
 
 # ---------------------------------------------------------------------------
