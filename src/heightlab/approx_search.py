@@ -776,15 +776,16 @@ def records(
     only on its arguments.
     """
     return [
-        ApproxRecord(ev.point, ev.certified_interval(), hv)
-        for hv, ev in _record_walk(x, kind, height_cap, enum_cap)
+        ApproxRecord(ev.point, ev.certified_interval(), height(ev.point, kind))
+        for ev in _record_walk(x, kind, height_cap, enum_cap)
     ]
 
 
 def _record_walk(
     x: Sequence[RealTarget], kind: HeightKind, height_cap: HeightValue, enum_cap: int
-) -> Iterable[Tuple[HeightValue, ErrVal]]:
-    """The records of ``records`` as uncertified (height, error) pairs.
+) -> Iterable[ErrVal]:
+    """The records of ``records`` as uncertified errors; a record's height is
+    ``height(ev.point, kind)``, and heights strictly increase.
 
     The arguments are checked on the call, before the walk starts; a frontier
     walk runs as it is read.
@@ -799,10 +800,10 @@ def _record_walk(
     return _frontier(targets, kind, cap, enum_cap)
 
 
-def _last_record(walk: Iterable[Tuple[object, ErrVal]]) -> ErrVal:
+def _last_record(walk: Iterable[ErrVal]) -> ErrVal:
     """Error of a record walk's last record: the optimum within its cap."""
     last: Optional[ErrVal] = None
-    for _, last in walk:
+    for last in walk:
         pass
     if last is None:
         raise PrecisionExhaustedError("no admissible candidate point")
@@ -811,24 +812,24 @@ def _last_record(walk: Iterable[Tuple[object, ErrVal]]) -> ErrVal:
 
 def _frontier(
     targets, kind: HeightKind, cap: int, enum_cap: int
-) -> Iterator[Tuple[HeightValue, ErrVal]]:
+) -> Iterator[ErrVal]:
     """Record walk over the per-coordinate ``_BestTable``s.
 
-    Under prod and prod_root the cap bounds the product of the denominators
-    and the height is that product (its d-th root for prod_root).  Under max,
-    and under lcm at d = 1, the cap bounds each denominator and the height is
-    the largest one.  Every coordinate starts at its first entry, whose
-    denominator is 1.  Each step yields the current tuple, then moves every
-    coordinate whose error ties the max-norm error E to its next entry; under
-    max it then moves every coordinate to its best entry at H', the largest
-    denominator now reached.  The walk stops when the product passes the cap
-    or when a table has no entry left within the cap.  An exact zero error
-    ends the walk too: it ties every coordinate, and an exact hit is the last
-    entry of its table.  The ``enum_cap`` guard bounds the steps.
+    Under prod and prod_root the cap bounds the product of the denominators;
+    under max, and under lcm at d = 1, it bounds each denominator.  Every
+    coordinate starts at its first entry, whose denominator is 1.  Each step
+    yields the current tuple's error, then moves every coordinate whose error
+    ties the max-norm error E to its next entry; under max it then moves
+    every coordinate to its best entry at H', the largest denominator now
+    reached.  The walk stops when the product passes the cap or when a table
+    has no entry left within the cap.  An exact zero error ends the walk too:
+    it ties every coordinate, and an exact hit is the last entry of its
+    table.  The ``enum_cap`` guard bounds the steps.
 
     A table entry is a best approximation of the first kind, so its fraction
     is the nearest reduced fraction at its denominator, and table errors
-    strictly decrease.
+    strictly decrease.  Entries are reduced, so a step's height is its
+    point's (``height``).
 
     Products: by induction every yielded tuple takes, in each coordinate, the
     smallest table denominator whose error is below the previous tuple's
@@ -855,24 +856,21 @@ def _frontier(
     atoms = [[_Atom(t, f) for _, f in tb.entries] for t, tb in zip(targets, tables)]
     den_lists = [tb.dens for tb in tables]
     product = kind in (HeightKind.PROD, HeightKind.PROD_ROOT)
-    root = len(targets) if kind is HeightKind.PROD_ROOT else 1
     idx = [0] * len(tables)
     steps = 0
     while all(k < len(ds) for k, ds in zip(idx, den_lists)):
         dens = [ds[k] for k, ds in zip(idx, den_lists)]
         if product:
-            base = math.prod(dens)
-            if base > cap:
+            if math.prod(dens) > cap:
                 return
         else:
-            base = max(dens)
-            idx = [bisect_right(ds, base) - 1 for ds in den_lists]
+            idx = [bisect_right(ds, max(dens)) - 1 for ds in den_lists]
         steps += 1
         if steps > enum_cap:
             raise CapExceededError("frontier walk exceeds enumeration cap")
         ev = ErrVal.from_atoms([a[k] for k, a in zip(idx, atoms)])
         tied = ev.tied()
-        yield HeightValue(base, root), ev
+        yield ev
         for i in tied:
             idx[i] += 1
 
@@ -917,14 +915,14 @@ def _lcm_opt(targets, lcm_cap: int, enum_cap: int):
     the walk, as nothing beats it and every multiple of D repeats x; its one
     tie is x itself.
     """
-    chain: List[Tuple[HeightValue, ErrVal]] = []
+    chain: List[ErrVal] = []
     ties = set()
     for dd in _lcm_scan(targets, lcm_cap, enum_cap):
         near = [_nearest_multiples(t, dd) for t in targets]
         ev = ErrVal(targets, [m[0] for m in near])
-        c = ev.compare(chain[-1][1]) if chain else -1
+        c = ev.compare(chain[-1]) if chain else -1
         if c < 0:
-            chain.append((HeightValue(dd), ev))
+            chain.append(ev)
             ties = set()
         if c <= 0:
             ties.update(iter_product(*near))

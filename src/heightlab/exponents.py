@@ -8,8 +8,8 @@ reported estimate is either the last entry past the warm-up cutoff
 
 The default estimate reads the uncertified record walk
 (``approx_search._record_walk``): it certifies, and takes the logs of, the
-last record only, and counts the entries without logs.  That count is
-exact, because every record at height H >= 2 has a usable quotient:
+last record only, and bisects the walk's rising heights for the entries.
+That count is exact, as every record at height H >= 2 has a usable quotient:
 
 - Every walk starts at height 1, whose point takes the nearest integer of
   each coordinate in [0, 1): its error is at most 1/2.  A later record's
@@ -27,14 +27,15 @@ exact, because every record at height H >= 2 has a usable quotient:
 ``_quotient`` raises ``AssertionError`` should a record break this.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .approx_search import DEFAULT_ENUM_CAP, _record_walk, records
 from .errors import InsufficientDataError
-from .heights import HeightKind, HeightValue
+from .heights import HeightKind, HeightValue, height
 from .numerics import Interval, RealTarget, ln_enclosure, pow_enclosure
 
 _REDUCERS = ("last", "running_max")
@@ -100,18 +101,19 @@ def _quotient(height: HeightValue, err: Interval) -> Interval:
     return Interval(-ln_err.upper / den.upper, -ln_err.lower / den.lower)
 
 
-def _tail_len(heights: Iterable[HeightValue], warmup: int) -> int:
-    """Entries past the warm-up height; an estimate needs at least 3."""
-    cutoff = HeightValue(warmup)
-    n = sum(1 for h in heights if h >= cutoff)
+def _tail(chain, key, warmup: int, lo: int = 0) -> int:
+    """Bisect for the first record past the warm-up; an estimate needs 3 from it."""
+    start = bisect_left(chain, HeightValue(warmup), lo, key=key)
+    n = len(chain) - start
     if n < 3:
         raise InsufficientDataError(f"{n} usable records past height {warmup}, need at least 3")
-    return n
+    return start
 
 
 def _eager_entries(x, kind, height_cap, enum_cap, value: _Value) -> Tuple[TraceEntry, ...]:
     chain = records(x, kind, height_cap, enum_cap=enum_cap)
-    return tuple(TraceEntry(r.height, value(r.height, r.error)) for r in chain if r.height >= _TWO)
+    first = bisect_left(chain, _TWO, key=lambda r: r.height)
+    return tuple(TraceEntry(r.height, value(r.height, r.error)) for r in chain[first:])
 
 
 def _read(
@@ -126,23 +128,31 @@ def _read(
     eager = partial(_eager_entries, kind=walk_kind, height_cap=height_cap,
                     enum_cap=enum_cap, value=value)
     if reducer == "last":
-        walk = [r for r in _record_walk(x, walk_kind, height_cap, enum_cap) if r[0] >= _TWO]
-        _tail_len((hv for hv, _ in walk), warmup)
-        hv, ev = walk[-1]
+        walk = list(_record_walk(x, walk_kind, height_cap, enum_cap))
+        key = lambda ev: height(ev.point, walk_kind)
+        first = bisect_left(walk, _TWO, key=key)
+        _tail(walk, key, warmup, first)
         return cls(
-            estimate=value(hv, ev.certified_interval()),
-            n_entries=len(walk),
+            estimate=value(key(walk[-1]), walk[-1].certified_interval()),
+            n_entries=len(walk) - first,
             _eager=partial(eager, x),
             **fields,
         )
     entries = eager(x)
-    n_tail = _tail_len((e.height for e in entries), warmup)
     return cls(
-        estimate=pick(e.value for e in entries[-n_tail:]),
+        estimate=pick(e.value for e in entries[_tail(entries, lambda e: e.height, warmup):]),
         n_entries=len(entries),
         _eager=lambda: entries,
         **fields,
     )
+
+
+def _check(reducer: str, reducers: Sequence[str], warmup: int) -> None:
+    """The checks that run before any record walk."""
+    if reducer not in reducers:
+        raise ValueError(f"unknown reducer {reducer!r}")
+    if not isinstance(warmup, int) or warmup < 1:
+        raise ValueError(f"warmup must be an integer >= 1, got {warmup!r}")
 
 
 def _omega_trace(x, kind, height_cap, warmup, reducer, enum_cap) -> ExponentTrace:
@@ -168,8 +178,7 @@ def omega_estimate(
     its exponent is taken as the max over per-coordinate estimates instead of
     a joint record sweep.
     """
-    if reducer not in _REDUCERS:
-        raise ValueError(f"unknown reducer {reducer!r}")
+    _check(reducer, _REDUCERS, warmup)
     x = tuple(x)
     if kind is HeightKind.MIN and len(x) > 1:
         traces = [
@@ -192,10 +201,10 @@ def constant_estimate(
 
     tau = 0 collapses to the smallest record error itself.
     """
+    tau = Fraction(tau)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    if reducer not in ("running_min", "last"):
-        raise ValueError(f"unknown reducer {reducer!r}")
+    _check(reducer, ("running_min", "last"), warmup)
 
     def scaled(hv: HeightValue, err: Interval) -> Interval:
         hp = pow_enclosure(hv.base, tau / hv.root, bits=_LOG_BITS)

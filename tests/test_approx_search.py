@@ -25,6 +25,7 @@ from heightlab.approx_search import (
     _lcm_scan,
     _lex_min,
     _nearest_ps,
+    _record_walk,
     _simplest,
     _simplest_point,
     _tuple_best,
@@ -543,6 +544,26 @@ def test_every_walk_step_is_a_record():
             assert records(x, kind, HeightValue(10 ** 6), enum_cap=len(chain)) == chain
             with pytest.raises(CapExceededError):
                 records(x, kind, HeightValue(10 ** 6), enum_cap=len(chain) - 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize(
+    "kind", [HeightKind.MAX, HeightKind.PROD, HeightKind.PROD_ROOT, HeightKind.LCM]
+)
+def test_record_heights_strictly_increase(kind, d):
+    # exponents finds height 2 and the warm-up on a chain by bisection, which
+    # needs this order on records and on the uncertified walk alike; a walk
+    # record's height is its point's, and each cap gives >= 20 records
+    cap = HeightValue(10 ** 6 if d == 1 or kind is HeightKind.PROD else 10 ** 4)
+    for seed in range(20):
+        x = sample_uniform(seed, d)
+        chain = records(x, kind, cap)
+        walk = list(_record_walk(x, kind, cap, DEFAULT_ENUM_CAP))
+        assert len(chain) >= 20
+        assert [ev.point for ev in walk] == [r.point for r in chain]
+        heights = [height(ev.point, kind) for ev in walk]
+        assert heights == [r.height for r in chain]
+        assert all(a < b for a, b in zip(heights, heights[1:])), (kind, d, seed)
 
 
 def test_record_walk_cap_guard():

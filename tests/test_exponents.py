@@ -103,6 +103,13 @@ def test_min_kind_takes_the_best_coordinate():
 def test_too_few_records_past_warmup():
     with pytest.raises(InsufficientDataError):
         omega_estimate((golden_target(),), HeightKind.MAX, HeightValue(100))
+    # a warm-up below 2 does not count the record at height 1: golden's
+    # records up to height 3 lie at heights 1, 2 and 3, so two entries
+    for reducer in ("last", "running_max"):
+        with pytest.raises(InsufficientDataError, match="^2 usable"):
+            omega_estimate(
+                (golden_target(),), HeightKind.MAX, HeightValue(3), warmup=1, reducer=reducer
+            )
 
 
 def test_reducer_validation(monkeypatch):
@@ -122,6 +129,62 @@ def test_reducer_validation(monkeypatch):
         constant_estimate(
             (golden_target(),), HeightKind.MAX, Fraction(2), HeightValue(10 ** 4), reducer="mean"
         )
+    # so is the warm-up, and its error names it
+    for warmup in (0, -5, 1.5):
+        with pytest.raises(ValueError, match="warmup"):
+            omega_estimate((golden_target(),), HeightKind.MAX, HeightValue(10 ** 4), warmup=warmup)
+        with pytest.raises(ValueError, match="warmup"):
+            constant_estimate(
+                (golden_target(),), HeightKind.MAX, Fraction(2), HeightValue(10 ** 4),
+                warmup=warmup,
+            )
+
+
+@pytest.mark.parametrize("reducer", ["last", "running_min"])
+def test_constant_takes_an_int_tau(reducer):
+    x, cap = (golden_target(),), HeightValue(10 ** 4)
+    got = constant_estimate(x, HeightKind.MAX, 2, cap, reducer=reducer)
+    want = constant_estimate(x, HeightKind.MAX, Fraction(2), cap, reducer=reducer)
+    assert got == want
+    assert got.entries == want.entries
+
+
+@pytest.mark.parametrize("warmup", [1, 2])
+def test_warmup_below_height_two(warmup):
+    # two of the 115 rooted-product records lie below height 2 (products 1
+    # and 5, under 8): they are no entries, and a warm-up of 1 or 2 keeps all
+    # 113 entries from height 30^(1/3) on
+    x, kind, cap = sample_uniform(0, 3), HeightKind.PROD_ROOT, HeightValue(10 ** 6)
+    chain = records(x, kind, cap)
+    assert len(chain) == 115
+    assert [r.height for r in chain[:3]] == [HeightValue(1), HeightValue(5, 3), HeightValue(30, 3)]
+    last = omega_estimate(x, kind, cap, warmup=warmup)
+    running = omega_estimate(x, kind, cap, warmup=warmup, reducer="running_max")
+    assert last.n_entries == running.n_entries == len(running.entries) == 113
+    assert [e.height for e in running.entries] == [r.height for r in chain[2:]]
+    assert last.estimate == running.entries[-1].value
+    assert running.estimate == max((e.value for e in running.entries), key=lambda iv: iv.lower)
+    assert last.value == pytest.approx(2.1135157869470382, abs=1e-12)
+    assert running.value == pytest.approx(2.4545841730393776, abs=1e-12)
+    c_last = constant_estimate(x, kind, Fraction(2), cap, warmup=warmup, reducer="last")
+    c_min = constant_estimate(x, kind, Fraction(2), cap, warmup=warmup)
+    assert c_last.n_entries == c_min.n_entries == 113
+    assert c_last.value == pytest.approx(0.20851065456849047, abs=1e-12)
+    assert c_min.value == pytest.approx(0.15710660339544297, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "warmup, running_value", [(1, 3.082725740891852), (2, 3.082725740891852), (100, 2.16192330629561)]
+)
+def test_golden_entries_do_not_depend_on_the_warmup(warmup, running_value):
+    cap = HeightValue(10 ** 5)
+    last = omega_estimate((golden_target(),), HeightKind.MAX, cap, warmup=warmup)
+    running = omega_estimate(
+        (golden_target(),), HeightKind.MAX, cap, warmup=warmup, reducer="running_max"
+    )
+    assert last.n_entries == running.n_entries == 23
+    assert last.value == pytest.approx(2.0716862019489817, abs=1e-12)
+    assert running.value == pytest.approx(running_value, abs=1e-12)
 
 
 def test_running_max_dominates_last():
@@ -302,7 +365,7 @@ def test_last_trace_entries_match_in_order_certification_past_192_bits(kind):
     # walks each coordinate under max, on copies of its own
     y = tuple(t.clone() for t in x[:1])
     walk = list(_frontier(y, HeightKind.MAX, 10 ** 30, DEFAULT_ENUM_CAP))
-    walk[-1][1].certified_interval()
+    walk[-1].certified_interval()
     assert y[0]._best_bits > 192
     tr = omega_estimate(x, kind, HeightValue(10 ** 30))
     eager = omega_estimate(x, kind, HeightValue(10 ** 30), reducer="running_max")
