@@ -7,6 +7,12 @@ point only prefilters, and the winner set plus tie-break order come from
 interval refinement or rational arithmetic.  Every search checks its
 arguments in one front door, ``_search``.
 
+The exact phase has one candidate rule and one tie rule.  A coordinate's
+candidates at q are the reduced fractions p/q with p one of the two integers
+nearest q*x (``_coord_options``).  Over tuples within the budget, the ties of
+the optimum E* are every point of candidates within E*: such a point is
+admissible, so it cannot beat E* (``_collect_ties``).
+
 Record chains under max, prod and prod_root, and every one-coordinate chain,
 come from one frontier walk over the per-coordinate tables, which moves the
 coordinates that tie the max-norm error; ``fast_best``'s product optimum is
@@ -44,7 +50,7 @@ import numpy as np
 
 from .cf_engine import ConvergentCursor
 from .errors import CapExceededError, PrecisionExhaustedError, UnboundedSearchError
-from .heights import HeightKind, HeightValue, floor_pow, height, height_of_dens, iroot
+from .heights import HeightKind, HeightValue, floor_pow, height, height_of_dens
 from .numerics import Interval, RealTarget, precisions, refine
 
 DEFAULT_ENUM_CAP = 10 ** 7
@@ -263,11 +269,6 @@ def _neighbours(target: RealTarget, q: int) -> Tuple[int, int]:
     raise PrecisionExhaustedError(f"cannot certify floor({q} * {target.key})")
 
 
-def _nearest_ps(target: RealTarget, q: int) -> List[int]:
-    """Coprime numerators among the two integers nearest q*x, certified."""
-    return [p for p in _neighbours(target, q) if math.gcd(p, q) == 1]
-
-
 def _nearest_multiples(target: RealTarget, q: int) -> List[Fraction]:
     """The multiples of 1/q nearest x, certified: both when q*x is a half-integer."""
     lower, upper = (_Atom(target, Fraction(p, q)) for p in _neighbours(target, q))
@@ -383,9 +384,7 @@ def _den_cap(kind: HeightKind, bound: HeightValue, d: int) -> int:
     base**(d/root).
     """
     _check_budget(kind, bound)
-    if kind is HeightKind.PROD_ROOT:
-        return iroot(bound.base ** d, bound.root)
-    return iroot(bound.base, bound.root)
+    return floor_pow(bound.base, Fraction(d if kind is HeightKind.PROD_ROOT else 1, bound.root))
 
 
 def _search(x: Sequence[RealTarget], kind: HeightKind, bound: HeightValue):
@@ -522,49 +521,41 @@ def _phase1(grid: np.ndarray, targets: Sequence[RealTarget]):
 # exact phase
 
 
-def _coord_options(target: RealTarget, q: int) -> List[Tuple[int, _Atom]]:
-    return [(p, _Atom(target, Fraction(p, q))) for p in _nearest_ps(target, q)]
+def _coord_options(target: RealTarget, q: int) -> List[_Atom]:
+    """The reduced p/q with p one of the two integers nearest q*x, certified."""
+    return [_Atom(target, Fraction(p, q)) for p in _neighbours(target, q) if math.gcd(p, q) == 1]
 
 
-def _tuple_best(targets, dens) -> Optional[Tuple[Tuple[Fraction, ...], "ErrVal"]]:
-    point = []
+def _tuple_best(targets, dens) -> Optional[ErrVal]:
+    """The error of each coordinate's better candidate; None if one has none."""
+    best = []
     for t, q in zip(targets, dens):
-        opts = _coord_options(t, int(q))
+        opts = _coord_options(t, q)
         if not opts:
             return None
-        best = opts[0]
-        for cand in opts[1:]:
-            if _cmp_atoms(cand[1], best[1]) < 0:
-                best = cand
-        point.append(best[1].frac)
-    ev = ErrVal(targets, point)
-    return ev.point, ev
+        # the two nearest integers give at most two candidates
+        best.append(opts[1] if len(opts) == 2 and _cmp_atoms(opts[1], opts[0]) < 0 else opts[0])
+    return ErrVal.from_atoms(best)
 
 
 def _collect_ties(targets, den_tuples: Iterable[Sequence[int]], opt: ErrVal):
-    """All candidate points over the given den tuples with error == opt."""
+    """Every candidate point over the den tuples with opt's error E*: the
+    product, per tuple, of each coordinate's candidates within E*.  Both
+    callers pass only tuples within the budget (the oracle's grid survivors,
+    ``_fast_ties``' product-bounded tuples), and candidates are reduced, so
+    these points are admissible; opt is the certified optimum over every
+    admissible point, so each of them has error exactly E*."""
     champ = opt.champion()
     points = set()
     for dens in den_tuples:
-        kept: List[List[Tuple[Fraction, bool]]] = []
-        any_eq_possible = False
-        ok = True
+        kept = []
         for t, q in zip(targets, dens):
-            opts = []
-            for p, atom in _coord_options(t, int(q)):
-                c = _cmp_atoms(atom, champ)
-                if c <= 0:
-                    opts.append((atom.frac, c == 0))
-                    any_eq_possible = any_eq_possible or c == 0
-            if not opts:
-                ok = False
+            fracs = [a.frac for a in _coord_options(t, q) if _cmp_atoms(a, champ) <= 0]
+            if not fracs:
                 break
-            kept.append(opts)
-        if not ok or not any_eq_possible:
-            continue
-        for combo in iter_product(*kept):
-            if any(eq for _, eq in combo):
-                points.add(tuple(f for f, _ in combo))
+            kept.append(fracs)
+        else:
+            points.update(iter_product(*kept))
     return points
 
 
@@ -599,19 +590,16 @@ def brute_force_best(
     opt_hi = tuple_hi.min()
     if not np.isfinite(opt_hi):
         raise PrecisionExhaustedError("no admissible candidate point")
-    survivors = grid[tuple_lo <= opt_hi]
+    survivors = grid[tuple_lo <= opt_hi].tolist()
 
     best: Optional[ErrVal] = None
     for dens in survivors:
-        got = _tuple_best(targets, dens)
-        if got is None:
-            continue
-        _, ev = got
-        if best is None or ev.compare(best) < 0:
+        ev = _tuple_best(targets, dens)
+        if ev is not None and (best is None or ev.compare(best) < 0):
             best = ev
     if best is None:
         raise PrecisionExhaustedError("no admissible candidate point")
-    ties = _collect_ties(targets, survivors.tolist(), best)
+    ties = _collect_ties(targets, survivors, best)
     return _finish(targets, budget.kind, _lex_min(ties))
 
 

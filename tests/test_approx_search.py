@@ -19,12 +19,12 @@ from heightlab.approx_search import (
     _cmp_atoms,
     _coord_float_bounds,
     _coord_options,
+    _den_cap,
     _filter_bounds,
     _grid_for,
     _lcm_bounds,
     _lcm_scan,
     _lex_min,
-    _nearest_ps,
     _record_walk,
     _simplest,
     _simplest_point,
@@ -123,6 +123,31 @@ def test_rooted_bound_equals_integer_cap():
     a = fast_best(x, Budget(HeightKind.MAX, HeightValue(45, 2)))
     b = fast_best(x, Budget(HeightKind.MAX, HeightValue(6)))
     assert a.point == b.point and a.error == b.error
+
+
+@pytest.mark.parametrize(
+    "kind, d, base, root, want",
+    [
+        (HeightKind.MAX, 2, 30, 1, 30),
+        (HeightKind.MAX, 3, 10, 2, 3),
+        (HeightKind.LCM, 2, 30, 1, 30),
+        (HeightKind.MIN, 2, 1000, 3, 10),
+        (HeightKind.PROD, 3, 60, 1, 60),
+        (HeightKind.PROD, 2, 10, 2, 3),
+        (HeightKind.PROD_ROOT, 2, 7, 1, 49),
+        (HeightKind.PROD_ROOT, 3, 7, 1, 343),
+        (HeightKind.PROD_ROOT, 3, 10, 2, 31),
+        (HeightKind.PROD_ROOT, 2, 10, 4, 3),
+        (HeightKind.PROD_ROOT, 1, 5, 3, 1),
+        (HeightKind.PROD_ROOT, 3, 45, 2, 301),
+        (HeightKind.PROD_ROOT, 3, 10 ** 6 + 3, 7, 372),
+        (HeightKind.PROD_ROOT, 3, 2, 6, 1),
+        (HeightKind.MAX, 2, 2 ** 64 + 1, 64, 2),
+    ],
+)
+def test_den_cap_exact_values(kind, d, base, root, want):
+    # floor(base**(d/root)) under prod_root, floor(base**(1/root)) otherwise
+    assert _den_cap(kind, HeightValue(base, root), d) == want
 
 
 def test_enumeration_cap_guard():
@@ -319,8 +344,8 @@ def _enumerated_prod_records(targets, kind, prod_cap):
         while i < len(tuples) and math.prod(tuples[i]) == hv:
             if lo[i] < cur_hi:
                 got = _tuple_best(targets, tuples[i])
-                if got is not None and (group_best is None or got[1].compare(group_best) < 0):
-                    group_best = got[1]
+                if got is not None and (group_best is None or got.compare(group_best) < 0):
+                    group_best = got
             i += 1
         if group_best is not None and (cur is None or group_best.compare(cur) < 0):
             cur = group_best
@@ -390,7 +415,7 @@ def _divisor_walk_records(targets, cap):
         for t, (lo, hi) in zip(targets, per_coord):
             best = None
             for oi in np.nonzero(lo[divs] <= hi[divs].min())[0]:
-                for _, atom in _coord_options(t, divisors[dd][oi]):
+                for atom in _coord_options(t, divisors[dd][oi]):
                     if best is None or _cmp_atoms(atom, best) < 0:
                         best = atom
             point.append(best.frac)
@@ -454,7 +479,7 @@ def test_precision_exhaustion_messages_at_small_budgets():
     assert str(err.value) == want
     # a budget below the start precision fails in the enclosure request
     with pytest.raises(PrecisionExhaustedError) as err:
-        _nearest_ps(BitsTarget(1, 0, budget=32), 7)
+        _coord_options(BitsTarget(1, 0, budget=32), 7)
     assert str(err.value) == "target ('seed', 1, 0): 64 bits requested, budget is 32"
 
 
@@ -510,6 +535,88 @@ def test_lcm_scan_bounds_bracket_exact_errors(coords):
                 assert l == h == math.inf, q
                 continue
             assert Fraction(l) <= min(errs) <= Fraction(h), (q, min(errs), l, h)
+
+
+def _filtered_ties(targets, den_tuples, opt):
+    """The tie sweep that also asked a tuple's point for a coordinate whose
+    candidate compares equal to the optimum."""
+    champ = opt.champion()
+    points = set()
+    for dens in den_tuples:
+        kept = []
+        for t, q in zip(targets, dens):
+            cmps = [(atom.frac, _cmp_atoms(atom, champ)) for atom in _coord_options(t, q)]
+            opts = [(f, c == 0) for f, c in cmps if c <= 0]
+            if not opts:
+                break
+            kept.append(opts)
+        else:
+            points.update(
+                tuple(f for f, _ in combo)
+                for combo in itertools.product(*kept)
+                if any(eq for _, eq in combo)
+            )
+    return points
+
+
+# rational coordinates with mirror ties: a coordinate's two candidates, or
+# two coordinates, lie at the same distance
+MIRROR_TIES = [
+    (Fraction(1, 2), Fraction(1, 4)),
+    (Fraction(3, 4), Fraction(3, 7)),
+    RECURRING_LCM_OPTIMUM,
+    (Fraction(1, 4), Fraction(3, 4)),
+    (Fraction(1, 3), Fraction(1, 3), Fraction(2, 5)),
+    (Fraction(9, 10), Fraction(5, 8), Fraction(3, 4)),
+]
+TIE_RULE_BOUNDS = {
+    HeightKind.MAX: (7, 30),
+    HeightKind.PROD: (7, 60),
+    HeightKind.PROD_ROOT: (3, 7),
+    HeightKind.LCM: (7, 30),
+}
+
+
+def _tie_rule_cases():
+    for seed in range(40):
+        for d in (2, 3):
+            for kind, bounds in TIE_RULE_BOUNDS.items():
+                for bound in bounds:
+                    if kind is HeightKind.PROD and d == 3 and bound == 60:
+                        bound = 40
+                    yield sample_uniform(seed, d), kind, bound
+    for coords in MIRROR_TIES:
+        for kind in SEARCH_KINDS:
+            for bound in range(1, 16 if len(coords) == 2 else 9):
+                yield tuple(RationalTarget(f) for f in coords), kind, bound
+
+
+def test_ties_are_every_candidate_within_the_optimum(monkeypatch):
+    # on both callers, the oracle's grid survivors and the product tie sweep,
+    # keeping every candidate within E* gives the set that the filtered sweep
+    # gave: a point of such candidates cannot beat the optimum
+    collect = approx_search._collect_ties
+    calls = {"brute": 0, "fast": 0}
+    ties = {"brute": 0, "fast": 0}
+    route = None
+
+    def checked(targets, den_tuples, opt):
+        got = collect(targets, den_tuples, opt)
+        assert got == _filtered_ties(targets, den_tuples, opt)
+        calls[route] += 1
+        ties[route] += len(got)
+        return got
+
+    monkeypatch.setattr(approx_search, "_collect_ties", checked)
+    for x, kind, bound in _tie_rule_cases():
+        b = Budget(kind, HeightValue(bound))
+        route = "brute"
+        brute_force_best(x, b)
+        if kind in PROD_KINDS:
+            route = "fast"
+            fast_best(x, b)
+    assert calls == {"brute": 944, "fast": 472}
+    assert ties == {"brute": 4064, "fast": 3160}
 
 
 def test_fast_prod_tie_sweep_stays_within_the_frontier_tuple():
@@ -771,7 +878,7 @@ def _float_scan_max_ties(targets, cap, opt):
         lo, _ = _filter_bounds(qs, x_lo, x_hi)
         opts = []
         for q in qs[lo <= opt_hi_f * (1.0 + 1e-13) + 1e-300].tolist():
-            for _, atom in _coord_options(t, q):
+            for atom in _coord_options(t, q):
                 c = _cmp_atoms(atom, champ)
                 if c <= 0:
                     opts.append((atom.frac, c == 0))

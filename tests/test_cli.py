@@ -222,6 +222,13 @@ def test_experiment_khintchine_band(capsys):
     assert "passes=True" in out
 
 
+def test_experiment_khintchine_without_an_ok_trial_fails_its_predicate(capsys):
+    code, out, _ = run(capsys, "experiment", "--name", "khintchine", "--d", "2",
+                       "--kind", "max", "--trials", "2", "--cap", "50", "--workers", "1")
+    assert code == 5
+    assert out.splitlines()[-1] == "ok=0 failed=2 median=None within_band=None passes=False"
+
+
 @pytest.mark.parametrize("via_config", [False, True])
 def test_experiment_khintchine_rejects_tau(tmp_path, capsys, via_config):
     # no khintchine trial reads a tau, so one given is a usage error, not a

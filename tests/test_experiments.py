@@ -137,6 +137,26 @@ def test_khintchine_validation():
             )
 
 
+def test_khintchine_trials_that_fail(tmp_path):
+    # at cap 50 no trial has a record past the warm-up; at cap 10^4 an
+    # enumeration cap of 1 stops every walk: failed trials are rows with a
+    # status, and a run with no ok trial does not pass
+    out = tmp_path / "run.json"
+    cfg = RunConfig("khintchine", 2, HeightKind.MAX, None, 1, 2, HeightValue(50), out=str(out))
+    res = khintchine_experiment(cfg, workers=1)
+    assert res.trials == (
+        {"seed": 1, "status": "InsufficientDataError"},
+        {"seed": 2, "status": "InsufficientDataError"},
+    )
+    assert res.aggregates == {"ok": 0, "failed": 2, "passes": False}
+    lines = (tmp_path / "run_trials.csv").read_text().splitlines()
+    assert lines[1:] == ["0,1,InsufficientDataError,,,", "1,2,InsufficientDataError,,,"]
+    cfg = RunConfig("khintchine", 2, HeightKind.MAX, None, 1, 2, HeightValue(10 ** 4), enum_cap=1)
+    res = khintchine_experiment(cfg, workers=1)
+    assert [r["status"] for r in res.trials] == ["CapExceededError"] * 2
+    assert res.aggregates == {"ok": 0, "failed": 2, "passes": False}
+
+
 def test_run_config_json_roundtrip():
     cfg = RunConfig(
         "khintchine", 3, HeightKind.PROD_ROOT, Fraction(5, 2), 7, 2,
