@@ -448,10 +448,16 @@ def _coord_float_bounds(targets: Sequence[RealTarget]):
 def _filter_bounds(qcol: np.ndarray, x_lo: float, x_hi: float):
     """Outer float bounds on the best reduced-candidate error at each den.
 
-    The candidates are p = f, f+1, f+2 with f = floor(fl(q*x_lo)).  Rounding
-    p/q to a float is an absolute error of up to 2u*|p/q|, beyond the relative
-    _SLOP at small errors, so the bounds carry the slack 2^-50*|p/q| that
-    ``_lcm_bounds`` carries, by the argument written there (Goldberg 1991).
+    The candidates are p = f, f+1, f+2 with f = floor(fl(q*x_lo)); for x in
+    [0, 1) and q < 2^48 the integers nearest q*x are among them.  The best
+    reduced one need not be the nearest, so each candidate is bounded.
+    Soundness (Goldberg 1991; u = 2^-53): p and q are exact floats, so
+    a = fl(p/q) is within u*|p/q| of p/q, and fl(a - x_b) within u*|a - x_b|
+    of a - x_b for an endpoint x_b.  A computed distance is thus off by u
+    times itself, which _SLOP (about 900u) absorbs with the roundings of the
+    slack arithmetic, plus (u + u^2)*|p/q| <= 2u*|a|.  That absolute term is
+    about 1e-7 of an error of 1e-9 at |a| ~ 1/2, far beyond _SLOP, so it gets
+    its own slack 2^-50*|a|.  1e-300 covers underflow.
     """
     f = np.floor(qcol * x_lo).astype(np.int64)
     qf = qcol.astype(np.float64)
@@ -476,29 +482,23 @@ def _filter_bounds(qcol: np.ndarray, x_lo: float, x_hi: float):
 def _lcm_bounds(targets: Sequence[RealTarget], ds: np.ndarray):
     """Outer float bounds on max_i ||D*x_i||/D, the error of D's nearest point.
 
-    For x in [0, 1) and D < 2^48 the integer nearest D*x is among f, f+1, f+2
-    with f = floor(fl(D*x_lo)).  Soundness (Goldberg 1991; u = 2^-53): p and D
-    are exact floats, so a = fl(p/D) is within u*|p/D| of p/D, and
-    fl(a - x_b) within u*|a - x_b| of a - x_b for an endpoint x_b.  A computed
-    distance is thus off by u times itself, which _SLOP (about 900u) absorbs
-    with the roundings of the slack arithmetic, plus (u + u^2)*|p/D| <= 2u*|a|.
-    That absolute term is about 1e-7 of an error of 1e-9 at |a| ~ 1/2, far
-    beyond _SLOP, so it gets its own slack 2^-50*|a|.  1e-300 covers underflow.
+    Soundness (Goldberg 1991; u = 2^-53), for x_i in [x_lo, x_hi] within
+    [0, 1) and an integer D < 2^53: t = fl(D*x_lo) lies within
+    D*(x_hi - x_lo) + u*D of D*x_i, and the distance to the nearest integer
+    is 1-Lipschitz, so ||t|| lies within that bound of ||D*x_i||.  t - rint(t)
+    is exact (Sterbenz), and dividing ||t|| <= 1/2 by D adds at most u/2.  So
+    ||t||/D lies within (x_hi - x_lo) + 3u/2 of the error; the slack's 8u also
+    covers the roundings of its own sum and of the final - and +, so hi stays
+    strictly above every error, as ``_lcm_scan``'s keep rule needs.
     """
-    xl, xh = _coord_float_bounds(targets)
     lo = np.zeros(len(ds))
     hi = np.zeros(len(ds))
-    for x_lo, x_hi in zip(xl, xh):
-        a = (np.floor(ds * x_lo)[:, None] + np.arange(3.0)) / ds[:, None]
-        dlo = a - x_hi
-        dhi = a - x_lo
-        clo = np.where(dlo > 0, dlo, np.where(dhi < 0, -dhi, 0.0))
-        chi = np.maximum(np.abs(dlo), np.abs(dhi))
-        slack = np.abs(a) * 2.0 ** -50
-        clo = np.maximum(clo * (1.0 - _SLOP) - slack, 0.0)
-        chi = chi * (1.0 + _SLOP) + slack + 1e-300
-        lo = np.maximum(lo, clo.min(axis=1))
-        hi = np.maximum(hi, chi.min(axis=1))
+    for x_lo, x_hi in zip(*_coord_float_bounds(targets)):
+        t = ds * x_lo
+        err = np.abs(t - np.rint(t)) / ds
+        slack = (x_hi - x_lo) + 2.0 ** -50
+        np.maximum(lo, err - slack, out=lo)
+        np.maximum(hi, err + slack, out=hi)
     return lo, hi
 
 

@@ -91,7 +91,6 @@ class ConvergentCursor:
         self.target = target
         self._p_prev, self._p, self._q_prev, self._q = _SEEDS
         self._n = 0
-        self._done = False
         self._bits = 64
         exact = target.exact_value
         # Euclidean state: the current tail equals _num/_den in [0, 1).
@@ -138,11 +137,8 @@ class ConvergentCursor:
         )
 
     def advance(self) -> Optional[ConvergentRow]:
-        if self._done:
-            return None
         a = self._next_quotient()
         if a is None:
-            self._done = True
             return None
         self._n += 1
         self._p, self._p_prev = a * self._p + self._p_prev, self._p

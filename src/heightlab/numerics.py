@@ -314,17 +314,16 @@ def parse_target(spec: str, budget: int = DEFAULT_PRECISION_BUDGET) -> RealTarge
 # same dyadic numbers bit for bit, and they enclose the true value as before.
 
 
-def _mpf_bounds(value: Union[int, Fraction], bits: int) -> Tuple[tuple, tuple]:
-    """Lower and upper mpf bounds of value, rounded as ``mpi_div`` rounds
-    ``iv.mpf(p) / iv.mpf(q)`` at ``iv.prec = bits``."""
+def _mpf_bound(value: Union[int, Fraction], bits: int, rnd: str) -> tuple:
+    """The mpf bound of value rounded toward rnd (_FLOOR or _CEIL), as
+    ``mpi_div`` rounds that end of ``iv.mpf(p) / iv.mpf(q)`` at
+    ``iv.prec = bits``."""
     p, q = value.numerator, value.denominator
     if p == 0:
-        return fzero, fzero
-    q_lo, q_hi = from_int(q, bits, _FLOOR), from_int(q, bits, _CEIL)
-    if p > 0:  # a positive quotient is smallest over the larger denominator
-        q_lo, q_hi = q_hi, q_lo
-    return (mpf_div(from_int(p, bits, _FLOOR), q_lo, bits, _FLOOR),
-            mpf_div(from_int(p, bits, _CEIL), q_hi, bits, _CEIL))
+        return fzero
+    # a positive quotient is smallest over the larger denominator
+    q_rnd = rnd if p < 0 else (_CEIL if rnd == _FLOOR else _FLOOR)
+    return mpf_div(from_int(p, bits, rnd), from_int(q, bits, q_rnd), bits, rnd)
 
 
 def _mpf_to_fraction(t: tuple) -> Fraction:
@@ -339,11 +338,10 @@ def ln_enclosure(value: Union[int, Fraction, Interval], bits: int = 128) -> Inte
     """Certified enclosure of ln(value), value > 0, or of ln over an
     exact-rational interval of positive reals: from the log of the lower end's
     floor bound to the log of the upper end's ceiling bound."""
-    ends = (value.lower, value.upper) if isinstance(value, Interval) else (value,)
-    if ends[0] <= 0:
+    lower, upper = (value.lower, value.upper) if isinstance(value, Interval) else (value, value)
+    if lower <= 0:
         raise ValueError("ln requires a positive argument")
-    bounds = [_mpf_bounds(v, bits) for v in ends]
-    lo, hi = bounds[0][0], bounds[-1][1]
+    lo, hi = _mpf_bound(lower, bits, _FLOOR), _mpf_bound(upper, bits, _CEIL)
     return Interval(
         _mpf_to_fraction(mpf_log(lo, bits, _FLOOR)), _mpf_to_fraction(mpf_log(hi, bits, _CEIL))
     )
@@ -351,7 +349,7 @@ def ln_enclosure(value: Union[int, Fraction, Interval], bits: int = 128) -> Inte
 
 def exp_enclosure(x: Interval, bits: int = 128) -> Interval:
     """Certified enclosure of exp over an exact-rational interval."""
-    lo, hi = _mpf_bounds(x.lower, bits)[0], _mpf_bounds(x.upper, bits)[1]
+    lo, hi = _mpf_bound(x.lower, bits, _FLOOR), _mpf_bound(x.upper, bits, _CEIL)
     return Interval(
         _mpf_to_fraction(mpf_exp(lo, bits, _FLOOR)), _mpf_to_fraction(mpf_exp(hi, bits, _CEIL))
     )

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heightlab import approx_search
 from heightlab.approx_search import (
@@ -535,6 +535,80 @@ def test_lcm_scan_bounds_bracket_exact_errors(coords):
                 assert l == h == math.inf, q
                 continue
             assert Fraction(l) <= min(errs) <= Fraction(h), (q, min(errs), l, h)
+
+
+# coordinates that stress the float prefilters: x near 2^-k (binade edges),
+# q*x or D*x near an integer, half-integer D*x (mirror ties), and hashed draws
+# whose enclosures are 2^-32 to 2^-192 wide
+_prefilter_coords = st.one_of(
+    st.builds(
+        lambda k, j: RationalTarget(Fraction(1, 2 ** k) + Fraction(j, 100 * 2 ** (k + 53))),
+        st.one_of(st.integers(1, 12), st.integers(13, 60)), st.integers(-200, 200),
+    ),
+    st.builds(
+        lambda q, p, j, m: Fraction(p % q, q) + Fraction(j, 2 ** m),
+        st.integers(1, 600), st.integers(0, 600), st.integers(-8, 8), st.integers(40, 120),
+    ).filter(lambda x: 0 <= x < 1).map(RationalTarget),
+    st.builds(
+        lambda D, m: RationalTarget(Fraction(2 * (m % D) + 1, 2 * D)),
+        st.integers(1, 600), st.integers(0, 600),
+    ),
+    st.builds(
+        BitsTarget, st.integers(0, 10 ** 6), st.just(0),
+        budget=st.one_of(st.integers(32, 64), st.integers(32, 4096)),
+    ),
+)
+
+
+def _enclosure_ends(t):
+    """The exact ends of the enclosure that ``_coord_float_bounds`` rounds."""
+    e = t.enclosure(min(approx_search._CERT_BITS, t.budget))
+    return e.lower, e.upper
+
+
+def _nearest_error(x, D):
+    r = D * x
+    return abs(r - round(r)) / D
+
+
+@given(
+    targets=st.lists(_prefilter_coords, min_size=1, max_size=3).map(tuple),
+    start=st.integers(601, 10 ** 6),
+)
+# 0.51 ulp below 1/4: without its absolute slack _filter_bounds' lower bound
+# overshoots at q = 1951 and 2031
+@example(targets=(RationalTarget(Fraction(1, 4) - Fraction(51, 100 * 2 ** 55)),), start=1900)
+@settings(max_examples=60, deadline=None)
+def test_float_prefilters_bracket_fraction_errors(targets, start):
+    # over both ends of each enclosure: lo <= the least exact error and the
+    # greatest exact error < hi, at D = 1..600 and 200 D from start
+    ds = np.concatenate([np.arange(1, 601), np.arange(start, start + 200)])
+    ends = [_enclosure_ends(t) for t in targets]
+    lo, hi = _lcm_bounds(targets, ds)
+    for D, l, h in zip(ds.tolist(), lo, hi):
+        errs = [[_nearest_error(x, D) for x in pair] for pair in ends]
+        least, greatest = max(min(e) for e in errs), max(max(e) for e in errs)
+        assert Fraction(l) <= least and greatest < Fraction(h), (D, least, greatest, l, h)
+    # the oracle's prefilter: the best coprime candidate among f..f+2
+    for pair, x_lo, x_hi in zip(ends, *_coord_float_bounds(targets)):
+        lo, hi = _filter_bounds(ds, x_lo, x_hi)
+        for q, l, h in zip(ds.tolist(), lo, hi):
+            f = math.floor(q * x_lo)
+            ps = [p for p in range(f, f + 3) if math.gcd(p, q) == 1]
+            if not ps:
+                assert l == h == math.inf, q
+                continue
+            best = [min(abs(x - Fraction(p, q)) for p in ps) for x in pair]
+            assert Fraction(l) <= min(best) and max(best) < Fraction(h), (q, best, l, h)
+
+
+def test_lcm_scan_does_not_depend_on_its_chunk(monkeypatch):
+    cases = [sample_uniform(seed, d) for seed in range(5) for d in (2, 3)]
+    cases.append(tuple(RationalTarget(f) for f in RECURRING_LCM_OPTIMUM))
+    want = [_lcm_scan(x, 3000, DEFAULT_ENUM_CAP) for x in cases]
+    for chunk in (1, 7, 1000, 500_000):
+        monkeypatch.setattr(approx_search, "_CHUNK", chunk)
+        assert [_lcm_scan(x, 3000, DEFAULT_ENUM_CAP) for x in cases] == want, chunk
 
 
 def _filtered_ties(targets, den_tuples, opt):
