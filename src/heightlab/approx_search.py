@@ -16,7 +16,10 @@ admissible, so it cannot beat E* (``_collect_ties``).
 Record chains under max, prod and prod_root, and every one-coordinate chain,
 come from one frontier walk over the per-coordinate tables, which moves the
 coordinates that tie the max-norm error; ``fast_best``'s product optimum is
-that walk's last record.
+that walk's last record.  The walks run on integers: a table entry is a pair
+(q, p), a record is each coordinate's (q, p) plus the index of its champion,
+and a certified error (``ErrVal``) is built only for a record that a caller
+returns or certifies.
 
 ``fast_best`` returns the lex-min tie, so under max, and under every kind
 at d = 1, it needs no tie set: its answer is each coordinate's simplest
@@ -64,6 +67,9 @@ _CERT_BITS = 192
 # largest denominator and numerator of a counting tau: exact powers grow with
 # its terms, and past these bounds a count at cap 10 or a box probe can hang
 TAU_MAX_DEN, TAU_MAX_NUM = 1000, 10 ** 4
+# a record of a walk as integer keys: each coordinate's (q, p), and the index
+# of the coordinate whose error is the record's max-norm error (its champion)
+_Record = Tuple[Tuple[Tuple[int, int], ...], int]
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,8 @@ class ApproxRecord:
 
 
 class _Atom:
-    """|target - frac| as a refinable certified quantity.
+    """|target - p/q| as a refinable certified quantity, for integers p and
+    q > 0; p/q need not be in lowest terms.
 
     ``interval(bits)`` gives the distance interval as integer ends
     (ln, ld, un, ud), the error lying in [ln/ld, un/ud] with ld, ud > 0, so
@@ -96,17 +103,21 @@ class _Atom:
     from: ``RealTarget.enclosure`` returns the same object until it refines.
     """
 
-    __slots__ = ("target", "frac", "exact", "_enc", "_ends")
+    __slots__ = ("target", "p", "q", "exact", "_enc", "_ends")
 
-    def __init__(self, target: RealTarget, frac: Fraction) -> None:
+    def __init__(self, target: RealTarget, p: int, q: int) -> None:
         self.target = target
-        self.frac = frac
+        self.p, self.q = p, q
         ev = target.exact_value
-        self.exact = abs(ev - frac) if ev is not None else None
+        self.exact = abs(ev - Fraction(p, q)) if ev is not None else None
         self._enc: Optional[Interval] = None
         if self.exact is not None:
             n, d = self.exact.numerator, self.exact.denominator
             self._ends = (n, d, n, d)
+
+    @property
+    def frac(self) -> Fraction:
+        return Fraction(self.p, self.q)
 
     def interval(self, bits: int) -> Tuple[int, int, int, int]:
         if self.exact is not None:
@@ -114,7 +125,7 @@ class _Atom:
         enc = refine(self.target, min(bits, self.target.budget))
         if enc is not self._enc:
             self._enc = enc
-            self._ends = _distance_ends(enc, self.frac.numerator, self.frac.denominator)
+            self._ends = _distance_ends(enc, self.p, self.q)
         return self._ends
 
     def float_bounds(self) -> Tuple[float, float]:
@@ -151,14 +162,14 @@ def _cmp_atoms(u: _Atom, v: _Atom) -> int:
     if u.exact is not None and v.exact is not None:
         return (u.exact > v.exact) - (u.exact < v.exact)
     if u.exact is None and v.exact is None and u.target.key == v.target.key:
-        p, q = u.frac.numerator, u.frac.denominator
-        r, s = v.frac.numerator, v.frac.denominator
-        if p == r and q == s:
+        p, q, r, s = u.p, u.q, v.p, v.q
+        ps, rq = p * s, r * q
+        if ps == rq:
             return 0
         # |x-a| vs |x-b| for a != b is decided by x against the midpoint
         # m = (p*s + r*q) / (2*q*s) of a = p/q and b = r/s
-        u_low = p * s < r * q
-        m_num, m_den = p * s + r * q, 2 * q * s
+        u_low = ps < rq
+        m_num, m_den = ps + rq, 2 * q * s
         target = u.target
         for bits in precisions(64, target.budget):
             e = refine(target, bits)
@@ -183,42 +194,50 @@ def _cmp_atoms(u: _Atom, v: _Atom) -> int:
     )
 
 
+def _tied(atoms: Sequence[_Atom]) -> List[int]:
+    """Coordinates whose error equals the max-norm error of ``atoms``,
+    champion first."""
+    tied = [0]
+    for i in range(1, len(atoms)):
+        c = _cmp_atoms(atoms[i], atoms[tied[0]])
+        if c > 0:
+            tied = [i]
+        elif c == 0:
+            tied.append(i)
+    return tied
+
+
 class ErrVal:
     """Certified max-norm error of one candidate point."""
 
-    __slots__ = ("point", "atoms", "_champ")
+    __slots__ = ("atoms", "_champ")
 
     def __init__(self, targets: Sequence[RealTarget], point: Sequence[Fraction]) -> None:
-        self._bind(tuple(_Atom(t, f) for t, f in zip(targets, point)))
+        self.atoms = tuple(_Atom(t, f.numerator, f.denominator) for t, f in zip(targets, point))
+        self._champ: Optional[int] = None
 
     @classmethod
-    def from_atoms(cls, atoms: Sequence[_Atom]) -> "ErrVal":
-        """The error of the point of ``atoms``, reusing their cached ends."""
+    def from_atoms(cls, atoms: Sequence[_Atom], champ: Optional[int] = None) -> "ErrVal":
+        """The error of the point of ``atoms``, reusing their cached ends;
+        ``champ`` is the champion's index, when a walk already certified it."""
         ev = cls.__new__(cls)
-        ev._bind(tuple(atoms))
+        ev.atoms = tuple(atoms)
+        ev._champ = champ
         return ev
 
-    def _bind(self, atoms: Tuple[_Atom, ...]) -> None:
-        self.atoms = atoms
-        self.point = tuple(a.frac for a in atoms)
-        self._champ: Optional[int] = None
+    @property
+    def point(self) -> Tuple[Fraction, ...]:
+        return tuple(a.frac for a in self.atoms)
 
     def champion(self) -> _Atom:
         if self._champ is None:
-            self.tied()
+            self._champ = _tied(self.atoms)[0]
         return self.atoms[self._champ]
 
-    def tied(self) -> List[int]:
-        """Coordinates whose error equals the max-norm error, champion first."""
-        tied = [0]
-        for i in range(1, len(self.atoms)):
-            c = _cmp_atoms(self.atoms[i], self.atoms[tied[0]])
-            if c > 0:
-                tied = [i]
-            elif c == 0:
-                tied.append(i)
-        self._champ = tied[0]
-        return tied
+    def record(self) -> "_Record":
+        """This error's point as a walk record."""
+        self.champion()
+        return tuple((a.q, a.p) for a in self.atoms), self._champ
 
     def interval(self, bits: int) -> Interval:
         ends = [a.interval(bits) for a in self.atoms]
@@ -271,7 +290,7 @@ def _neighbours(target: RealTarget, q: int) -> Tuple[int, int]:
 
 def _nearest_multiples(target: RealTarget, q: int) -> List[Fraction]:
     """The multiples of 1/q nearest x, certified: both when q*x is a half-integer."""
-    lower, upper = (_Atom(target, Fraction(p, q)) for p in _neighbours(target, q))
+    lower, upper = (_Atom(target, p, q) for p in _neighbours(target, q))
     c = _cmp_atoms(lower, upper)
     return [a.frac for a, near in ((lower, c <= 0), (upper, c >= 0)) if near]
 
@@ -280,8 +299,9 @@ def _nearest_multiples(target: RealTarget, q: int) -> List[Fraction]:
 # per-coordinate best-approximation table
 
 
-def _best_entries(target: RealTarget) -> Iterator[Tuple[int, Fraction]]:
-    """Best approximations (den, frac) of one coordinate, in increasing den.
+def _best_entries(target: RealTarget) -> Iterator[Tuple[int, int]]:
+    """Best approximations p/q of one coordinate as pairs (q, p), in
+    increasing q.
 
     Each family of intermediate fractions (pa + k*pb)/(qa + k*qb), k <= a,
     between consecutive convergents starts at the certified break-even index
@@ -297,23 +317,23 @@ def _best_entries(target: RealTarget) -> Iterator[Tuple[int, Fraction]]:
         row = cursor.advance()
         if row is None:
             if not seeded:
-                yield 1, Fraction(0, 1)
+                yield 1, 0
             return
-        base = _Atom(target, Fraction(pb, qb))
+        base = _Atom(target, pb, qb)
         lo, hi = 1, row.a
         while lo < hi:
             mid = (lo + hi) // 2
-            m = Fraction(pa + mid * pb, qa + mid * qb)
-            if _cmp_atoms(_Atom(target, m), base) < 0:
+            if _cmp_atoms(_Atom(target, pa + mid * pb, qa + mid * qb), base) < 0:
                 hi = mid
             else:
                 lo = mid + 1
         if not seeded:
             seeded = True
             if lo >= 2:
-                yield 1, Fraction(0, 1)
+                yield 1, 0
+        # consecutive convergents have pa*qb - pb*qa = +-1, so these are reduced
         for k in range(lo, row.a + 1):
-            yield qa + k * qb, Fraction(pa + k * pb, qa + k * qb)
+            yield qa + k * qb, pa + k * pb
 
 
 _END = (math.inf, None)
@@ -322,13 +342,13 @@ _END = (math.inf, None)
 class _BestTable:
     """The entries of ``_best_entries`` read so far, up to the largest cap asked.
 
-    Entries (den, frac) have strictly increasing denominators and strictly
-    decreasing certified errors; every best approximation of the first kind
-    appears.
+    Entries (q, p) of reduced fractions p/q have strictly increasing
+    denominators and strictly decreasing certified errors; every best
+    approximation of the first kind appears.
     """
 
     def __init__(self, target: RealTarget) -> None:
-        self.entries: List[Tuple[int, Fraction]] = []
+        self.entries: List[Tuple[int, int]] = []
         self.dens: List[int] = []  # the entries' denominators, for bisection
         self._source = _best_entries(target)
         self._ahead: Optional[Tuple] = None  # the first entry past the cap, once read
@@ -341,7 +361,7 @@ class _BestTable:
             self.dens.append(self._ahead[0])
             self._ahead = next(self._source, _END)
 
-    def best_at(self, den_cap: int) -> Tuple[int, Fraction]:
+    def best_at(self, den_cap: int) -> Tuple[int, int]:
         self.extend_to(den_cap)
         idx = bisect_right(self.dens, den_cap) - 1
         if idx < 0:
@@ -523,7 +543,7 @@ def _phase1(grid: np.ndarray, targets: Sequence[RealTarget]):
 
 def _coord_options(target: RealTarget, q: int) -> List[_Atom]:
     """The reduced p/q with p one of the two integers nearest q*x, certified."""
-    return [_Atom(target, Fraction(p, q)) for p in _neighbours(target, q) if math.gcd(p, q) == 1]
+    return [_Atom(target, p, q) for p in _neighbours(target, q) if math.gcd(p, q) == 1]
 
 
 def _tuple_best(targets, dens) -> Optional[ErrVal]:
@@ -544,13 +564,21 @@ def _collect_ties(targets, den_tuples: Iterable[Sequence[int]], opt: ErrVal):
     callers pass only tuples within the budget (the oracle's grid survivors,
     ``_fast_ties``' product-bounded tuples), and candidates are reduced, so
     these points are admissible; opt is the certified optimum over every
-    admissible point, so each of them has error exactly E*."""
+    admissible point, so each of them has error exactly E*.
+
+    A coordinate's kept candidates at q depend only on (coordinate, q), so
+    each is certified once and kept for every later tuple that takes q."""
     champ = opt.champion()
+    kept_at = [{} for _ in targets]
     points = set()
     for dens in den_tuples:
         kept = []
-        for t, q in zip(targets, dens):
-            fracs = [a.frac for a in _coord_options(t, q) if _cmp_atoms(a, champ) <= 0]
+        for t, q, cache in zip(targets, dens, kept_at):
+            fracs = cache.get(q)
+            if fracs is None:
+                fracs = cache[q] = [
+                    a.frac for a in _coord_options(t, q) if _cmp_atoms(a, champ) <= 0
+                ]
             if not fracs:
                 break
             kept.append(fracs)
@@ -629,7 +657,7 @@ def _fast_ties(targets, cap, opt: ErrVal, enum_cap):
     # is the smallest one reaching error <= opt in its coordinate.  A tuple
     # tying opt therefore takes at least q_j in every coordinate j, which
     # leaves at most cap * q_i // prod(q) for coordinate i.
-    qs = [f.denominator for f in opt.point]
+    qs = [a.q for a in opt.atoms]
     caps = [cap * q // math.prod(qs) for q in qs]
     xl, xh = _coord_float_bounds(targets)
     den_sets = [
@@ -685,7 +713,7 @@ def _simplest_point(targets, opt: ErrVal) -> Tuple[Fraction, ...]:
             _, _, un, ud = champ.interval(bits)
             e = Fraction(un, ud)
             c = _simplest(max(x.lower - e, Fraction(0)), x.upper + e)
-            if _cmp_atoms(_Atom(t, c), champ) <= 0:
+            if _cmp_atoms(_Atom(t, c.numerator, c.denominator), champ) <= 0:
                 point.append(c)
                 break
         else:
@@ -725,13 +753,14 @@ def fast_best(
     kind = budget.kind
     targets, cap = _search(x, kind, budget.bound)
     if kind is HeightKind.MAX or len(targets) == 1:
-        opt = ErrVal(targets, [_BestTable(t).best_at(cap)[1] for t in targets])
+        best = [_BestTable(t).best_at(cap) for t in targets]
+        opt = ErrVal.from_atoms([_Atom(t, p, q) for t, (q, p) in zip(targets, best)])
         return _finish(targets, kind, _simplest_point(targets, opt))
     if kind is HeightKind.LCM:
         _, ties = _lcm_opt(targets, cap, enum_cap)
     else:
         # the staircase ends at the cheapest tuple reaching the optimum
-        opt = _last_record(_frontier(targets, kind, cap, enum_cap))
+        opt = _last_record(targets, _frontier(targets, kind, cap, enum_cap))
         ties = _fast_ties(targets, cap, opt, enum_cap)
     if not ties:
         # the optimum's own point must be in the tie set; missing it means a
@@ -763,61 +792,81 @@ def records(
     Each call works on fresh copies of the targets, so its result depends
     only on its arguments.
     """
-    return [
-        ApproxRecord(ev.point, ev.certified_interval(), height(ev.point, kind))
-        for ev in _record_walk(x, kind, height_cap, enum_cap)
-    ]
+    targets, walk = _record_walk(x, kind, height_cap, enum_cap)
+    chain = []
+    # each record is certified as the walk reaches it, before its next step
+    for rec in walk:
+        ev = _record_err(targets, rec)
+        chain.append(ApproxRecord(ev.point, ev.certified_interval(), _record_height(rec, kind)))
+    return chain
 
 
 def _record_walk(
     x: Sequence[RealTarget], kind: HeightKind, height_cap: HeightValue, enum_cap: int
-) -> Iterable[ErrVal]:
-    """The records of ``records`` as uncertified errors; a record's height is
-    ``height(ev.point, kind)``, and heights strictly increase.
+) -> Tuple[Tuple[RealTarget, ...], Iterable[_Record]]:
+    """The fresh targets of ``records`` and its records, uncertified, as
+    ``_Record`` keys; heights (``_record_height``) strictly increase.
 
     The arguments are checked on the call, before the walk starts; a frontier
-    walk runs as it is read.
+    walk runs as it is read.  A record's error (``_record_err``) must be
+    taken on the returned targets, which the walk refined.
     """
     targets, cap = _search(x, kind, height_cap)
     for t in targets:
         if t.exact_value is not None:
             raise ValueError(f"record chains need irrational coordinates, got {t.key}")
     if kind is HeightKind.LCM and len(targets) >= 2:
-        walk, _ = _lcm_opt(targets, cap, enum_cap)
-        return walk
-    return _frontier(targets, kind, cap, enum_cap)
+        chain, _ = _lcm_opt(targets, cap, enum_cap)
+        return targets, chain
+    return targets, _frontier(targets, kind, cap, enum_cap)
 
 
-def _last_record(walk: Iterable[ErrVal]) -> ErrVal:
+def _record_height(rec: _Record, kind: HeightKind) -> HeightValue:
+    """A record's height: its fractions are reduced, so it is its point's."""
+    return height_of_dens([q for q, _ in rec[0]], kind)
+
+
+def _record_err(targets, rec: _Record) -> ErrVal:
+    """The error of a record's point, its champion as the walk certified it."""
+    keys, champ = rec
+    return ErrVal.from_atoms([_Atom(t, p, q) for t, (q, p) in zip(targets, keys)], champ)
+
+
+def _last_record(targets, walk: Iterable[_Record]) -> ErrVal:
     """Error of a record walk's last record: the optimum within its cap."""
-    last: Optional[ErrVal] = None
+    last: Optional[_Record] = None
     for last in walk:
         pass
     if last is None:
         raise PrecisionExhaustedError("no admissible candidate point")
-    return last
+    return _record_err(targets, last)
 
 
 def _frontier(
     targets, kind: HeightKind, cap: int, enum_cap: int
-) -> Iterator[ErrVal]:
+) -> Iterator[_Record]:
     """Record walk over the per-coordinate ``_BestTable``s.
 
     Under prod and prod_root the cap bounds the product of the denominators;
     under max, and under lcm at d = 1, it bounds each denominator.  Every
     coordinate starts at its first entry, whose denominator is 1.  Each step
-    yields the current tuple's error, then moves every coordinate whose error
-    ties the max-norm error E to its next entry; under max it then moves
-    every coordinate to its best entry at H', the largest denominator now
-    reached.  The walk stops when the product passes the cap or when a table
-    has no entry left within the cap.  An exact zero error ends the walk too:
-    it ties every coordinate, and an exact hit is the last entry of its
-    table.  The ``enum_cap`` guard bounds the steps.
+    yields the current tuple as a record, its entries' (q, p) and the index
+    of its champion, then moves every coordinate whose error ties the
+    max-norm error E to its next entry; under max it then moves every
+    coordinate to its best entry at H', the largest denominator now reached.
+    The walk stops when the product passes the cap or when a table has no
+    entry left within the cap.  An exact zero error ends the walk too: it
+    ties every coordinate, and an exact hit is the last entry of its table.
+    The ``enum_cap`` guard bounds the steps.
+
+    Only the ties need certified errors: an entry gets an ``_Atom`` when a
+    step first compares it, and later steps reuse that atom's cached ends.
+    At d = 1 nothing is compared, and the walk is the table up to the cap.
 
     A table entry is a best approximation of the first kind, so its fraction
     is the nearest reduced fraction at its denominator, and table errors
     strictly decrease.  Entries are reduced, so a step's height is its
-    point's (``height``).
+    point's (``_record_height``).
 
     Products: by induction every yielded tuple takes, in each coordinate, the
     smallest table denominator whose error is below the previous tuple's
@@ -840,25 +889,39 @@ def _frontier(
     tables = [_BestTable(t) for t in targets]
     for tb in tables:
         tb.extend_to(cap)
-    # one atom per entry, so a step reuses the ends cached by earlier steps
-    atoms = [[_Atom(t, f) for _, f in tb.entries] for t, tb in zip(targets, tables)]
-    den_lists = [tb.dens for tb in tables]
+    if len(tables) == 1:
+        for steps, key in enumerate(tables[0].entries, 1):
+            if steps > enum_cap:
+                raise CapExceededError("frontier walk exceeds enumeration cap")
+            yield (key,), 0
+        return
+    entries = [tb.entries for tb in tables]
+    # a past-the-end denominator of inf stops the walk at an exhausted table
+    den_lists = [tb.dens + [math.inf] for tb in tables]
+    atoms = [[None] * len(e) for e in entries]
+    coords = range(len(tables))
     product = kind in (HeightKind.PROD, HeightKind.PROD_ROOT)
     idx = [0] * len(tables)
     steps = 0
-    while all(k < len(ds) for k, ds in zip(idx, den_lists)):
+    while True:
         dens = [ds[k] for k, ds in zip(idx, den_lists)]
         if product:
             if math.prod(dens) > cap:
                 return
         else:
-            idx = [bisect_right(ds, max(dens)) - 1 for ds in den_lists]
+            top = max(dens)
+            if top > cap:
+                return
+            idx = [bisect_right(ds, top) - 1 for ds in den_lists]
         steps += 1
         if steps > enum_cap:
             raise CapExceededError("frontier walk exceeds enumeration cap")
-        ev = ErrVal.from_atoms([a[k] for k, a in zip(idx, atoms)])
-        tied = ev.tied()
-        yield ev
+        for i in coords:
+            if atoms[i][idx[i]] is None:
+                q, p = entries[i][idx[i]]
+                atoms[i][idx[i]] = _Atom(targets[i], p, q)
+        tied = _tied([a[k] for k, a in zip(idx, atoms)])
+        yield tuple([e[k] for k, e in zip(idx, entries)]), tied[0]
         for i in tied:
             idx[i] += 1
 
@@ -901,16 +964,18 @@ def _lcm_opt(targets, lcm_cap: int, enum_cap: int):
     ``_nearest_multiples`` over D* and over each later D whose point compares
     equal to D*'s: values the walk computes anyway.  An exact zero error ends
     the walk, as nothing beats it and every multiple of D repeats x; its one
-    tie is x itself.
+    tie is x itself.  The chain holds the records as ``_Record`` keys.
     """
-    chain: List[ErrVal] = []
+    chain: List[_Record] = []
+    last: Optional[ErrVal] = None
     ties = set()
     for dd in _lcm_scan(targets, lcm_cap, enum_cap):
         near = [_nearest_multiples(t, dd) for t in targets]
         ev = ErrVal(targets, [m[0] for m in near])
-        c = ev.compare(chain[-1]) if chain else -1
+        c = ev.compare(last) if last is not None else -1
         if c < 0:
-            chain.append(ev)
+            last = ev
+            chain.append(ev.record())
             ties = set()
         if c <= 0:
             ties.update(iter_product(*near))
@@ -984,7 +1049,7 @@ def _count_d1(target: RealTarget, tau: Fraction, cap: int, enum_cap: int) -> Lis
     if q0 <= cap:
         for c in _convergents(target, q0, cap):
             q = c.denominator
-            if _err_beats_power(_Atom(target, c), q, tau, floor_pow(q, tau)):
+            if _err_beats_power(_Atom(target, c.numerator, q), q, tau, floor_pow(q, tau)):
                 sols.append(c)
     return sols
 
@@ -1016,7 +1081,7 @@ def _min_witness_points(
 def _aux_partner(target: RealTarget, q_min: int, tau: Fraction, aux_cap: int):
     r = floor_pow(q_min, tau)
     for c in _convergents(target, q_min, aux_cap):
-        if _err_beats_power(_Atom(target, c), q_min, tau, r):
+        if _err_beats_power(_Atom(target, c.numerator, c.denominator), q_min, tau, r):
             return c
     return None
 
@@ -1085,6 +1150,6 @@ def _solution_ps(target: RealTarget, q: int, hbase: int, tau: Fraction, r_den: i
     for p in range(math.floor(q * (e.lower - r)), math.ceil(q * (e.upper + r)) + 1):
         if math.gcd(p, q) != 1:
             continue
-        if _err_beats_power(_Atom(target, Fraction(p, q)), hbase, tau, r_den):
+        if _err_beats_power(_Atom(target, p, q), hbase, tau, r_den):
             out.append(p)
     return out

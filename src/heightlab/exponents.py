@@ -7,9 +7,10 @@ reported estimate is either the last entry past the warm-up cutoff
 (default) or the entry with the largest certified lower endpoint.
 
 The default estimate reads the uncertified record walk
-(``approx_search._record_walk``): it certifies, and takes the logs of, the
-last record only, and bisects the walk's rising heights for the entries.
-That count is exact, as every record at height H >= 2 has a usable quotient:
+(``approx_search._record_walk``), whose records are integer keys: it bisects
+their rising heights, read off the denominators, for the entries, and builds
+a certified error, and takes logs, for the last record only.  That count is
+exact, as every record at height H >= 2 has a usable quotient:
 
 - Every walk starts at height 1, whose point takes the nearest integer of
   each coordinate in [0, 1): its error is at most 1/2.  A later record's
@@ -33,9 +34,9 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .approx_search import DEFAULT_ENUM_CAP, _record_walk, records
+from .approx_search import DEFAULT_ENUM_CAP, _record_err, _record_height, _record_walk, records
 from .errors import InsufficientDataError
-from .heights import HeightKind, HeightValue, height
+from .heights import HeightKind, HeightValue
 from .numerics import Interval, RealTarget, ln_enclosure, pow_enclosure
 
 _REDUCERS = ("last", "running_max")
@@ -128,12 +129,14 @@ def _read(
     eager = partial(_eager_entries, kind=walk_kind, height_cap=height_cap,
                     enum_cap=enum_cap, value=value)
     if reducer == "last":
-        walk = list(_record_walk(x, walk_kind, height_cap, enum_cap))
-        key = lambda ev: height(ev.point, walk_kind)
+        targets, walk = _record_walk(x, walk_kind, height_cap, enum_cap)
+        walk = list(walk)
+        key = partial(_record_height, kind=walk_kind)
         first = bisect_left(walk, _TWO, key=key)
         _tail(walk, key, warmup, first)
+        err = _record_err(targets, walk[-1]).certified_interval()
         return cls(
-            estimate=value(key(walk[-1]), walk[-1].certified_interval()),
+            estimate=value(key(walk[-1]), err),
             n_entries=len(walk) - first,
             _eager=partial(eager, x),
             **fields,

@@ -105,25 +105,30 @@ def _draw_bound(rng, d, kind):
     return rng.randint(1, 60)
 
 
-def test_fast_search_matches_exhaustive():
-    budget = 600
-    start = time.monotonic()
+def route_cases():
+    """Check 2's instances (d, kind, seed, bound), drawn cell by cell."""
     kinds = (HeightKind.MAX, HeightKind.PROD, HeightKind.PROD_ROOT, HeightKind.LCM)
-    mismatches = []
-    total = 0
     for d in (1, 2, 3):
         for kind in kinds:
             rng = random.Random("route-%d-%s" % (d, kind.name))
             for _ in range(INSTANCES_PER_CELL):
                 seed = rng.randrange(10 ** 6)
-                bound = _draw_bound(rng, d, kind)
-                x = sample_uniform(seed, d)
-                b = Budget(kind, HeightValue(bound))
-                rb = brute_force_best(x, b)
-                rf = fast_best(x, b)
-                total += 1
-                if (rb.point, rb.error, rb.height) != (rf.point, rf.error, rf.height):
-                    mismatches.append((d, kind.name, seed, bound))
+                yield d, kind, seed, _draw_bound(rng, d, kind)
+
+
+def test_fast_search_matches_exhaustive():
+    budget = 600
+    start = time.monotonic()
+    mismatches = []
+    total = 0
+    for d, kind, seed, bound in route_cases():
+        x = sample_uniform(seed, d)
+        b = Budget(kind, HeightValue(bound))
+        rb = brute_force_best(x, b)
+        rf = fast_best(x, b)
+        total += 1
+        if (rb.point, rb.error, rb.height) != (rf.point, rf.error, rf.height):
+            mismatches.append((d, kind.name, seed, bound))
     elapsed = time.monotonic() - start
     ok = not mismatches and elapsed < budget
     line = _report(

@@ -25,6 +25,7 @@ from heightlab.approx_search import (
     _lcm_bounds,
     _lcm_scan,
     _lex_min,
+    _record_height,
     _record_walk,
     _simplest,
     _simplest_point,
@@ -50,6 +51,7 @@ from heightlab.numerics import (
     sample_uniform,
     sqrt2_target,
 )
+from test_acceptance import route_cases
 
 X27 = (RationalTarget(Fraction(2, 7)), RationalTarget(Fraction(3, 7)))
 
@@ -472,7 +474,7 @@ def test_precision_exhaustion_messages_at_small_budgets():
     # midpoint stays inside it at the whole budget
     t = BitsTarget(1, 0, budget=64)
     e = t.enclosure(64)
-    a, b = _Atom(t, e.lower), _Atom(t, e.upper)
+    a, b = (_Atom(t, f.numerator, f.denominator) for f in (e.lower, e.upper))
     want = f"cannot separate errors of {e.lower} and {e.upper} against ('seed', 1, 0)"
     with pytest.raises(PrecisionExhaustedError) as err:
         _cmp_atoms(a, b)
@@ -693,6 +695,51 @@ def test_ties_are_every_candidate_within_the_optimum(monkeypatch):
     assert ties == {"brute": 4064, "fast": 3160}
 
 
+def _per_tuple_ties(targets, den_tuples, opt):
+    """The tie sweep that certified every coordinate's candidates again for
+    each tuple, with no cache over (coordinate, q)."""
+    champ = opt.champion()
+    points = set()
+    for dens in den_tuples:
+        kept = []
+        for t, q in zip(targets, dens):
+            fracs = [a.frac for a in _coord_options(t, q) if _cmp_atoms(a, champ) <= 0]
+            if not fracs:
+                break
+            kept.append(fracs)
+        else:
+            points.update(itertools.product(*kept))
+    return points
+
+
+def test_tie_sets_match_the_per_tuple_sweep(monkeypatch):
+    # three d = 3 prod_root queries of the benchmark, whose sweeps revisit a
+    # (coordinate, q) in thousands of tuples, then check 2's instances on
+    # both routes; the sizes are the ones the per-tuple sweep gave
+    collect = approx_search._collect_ties
+    sizes = {"brute": [], "fast": []}
+    route = "fast"
+
+    def checked(targets, den_tuples, opt):
+        got = collect(targets, den_tuples, opt)
+        assert got == _per_tuple_ties(targets, den_tuples, opt)
+        sizes[route].append(len(got))
+        return got
+
+    monkeypatch.setattr(approx_search, "_collect_ties", checked)
+    for seed, bound in [(166159, 18), (770519, 14), (345648, 12)]:
+        fast_best(sample_uniform(seed, 3), Budget(HeightKind.PROD_ROOT, HeightValue(bound)))
+    assert sizes["fast"] == [4989, 1413, 933]
+    sizes["fast"].clear()
+    for d, kind, seed, bound in route_cases():
+        x, b = sample_uniform(seed, d), Budget(kind, HeightValue(bound))
+        route = "brute"
+        brute_force_best(x, b)
+        route = "fast"
+        fast_best(x, b)
+    assert [(len(v), sum(v)) for v in sizes.values()] == [(1200, 13275), (400, 11660)]
+
+
 def test_fast_prod_tie_sweep_stays_within_the_frontier_tuple():
     # the tie sweep scans 200^3 denominators per coordinate without the
     # bound from the optimum's own denominators
@@ -734,16 +781,20 @@ def test_every_walk_step_is_a_record():
 def test_record_heights_strictly_increase(kind, d):
     # exponents finds height 2 and the warm-up on a chain by bisection, which
     # needs this order on records and on the uncertified walk alike; a walk
-    # record's height is its point's, and each cap gives >= 20 records
+    # record's height, read off its denominators, is its point's, and each
+    # cap gives >= 20 records
     cap = HeightValue(10 ** 6 if d == 1 or kind is HeightKind.PROD else 10 ** 4)
     for seed in range(20):
         x = sample_uniform(seed, d)
         chain = records(x, kind, cap)
-        walk = list(_record_walk(x, kind, cap, DEFAULT_ENUM_CAP))
+        _, walk = _record_walk(x, kind, cap, DEFAULT_ENUM_CAP)
+        walk = list(walk)
         assert len(chain) >= 20
-        assert [ev.point for ev in walk] == [r.point for r in chain]
-        heights = [height(ev.point, kind) for ev in walk]
-        assert heights == [r.height for r in chain]
+        assert [tuple(Fraction(p, q) for q, p in keys) for keys, _ in walk] == [
+            r.point for r in chain
+        ]
+        heights = [_record_height(rec, kind) for rec in walk]
+        assert heights == [r.height for r in chain] == [height(r.point, kind) for r in chain]
         assert all(a < b for a, b in zip(heights, heights[1:])), (kind, d, seed)
 
 
@@ -759,7 +810,7 @@ def _breakpoint_scan_records(targets, cap):
     breakpoints = sorted({q for tb in tables for q in tb.dens_up_to(cap)})
     chain, cur, cur_hi = [], None, math.inf
     for bp in breakpoints:
-        ev = ErrVal(targets, [tb.best_at(bp)[1] for tb in tables])
+        ev = ErrVal(targets, [Fraction(p, q) for q, p in (tb.best_at(bp) for tb in tables)])
         if ev.interval(192).lower > cur_hi:
             continue
         if cur is None or ev.compare(cur) < 0:
@@ -792,9 +843,10 @@ def test_one_coordinate_records_are_the_table_entries(kind):
     for t in named + [sample_uniform(seed, 1)[0] for seed in range(5)]:
         tb = _BestTable(t)
         tb.extend_to(10 ** 6)
+        fracs = [Fraction(p, q) for q, p in tb.entries]
         want = [
-            ApproxRecord((f,), ErrVal((t,), (f,)).certified_interval(), HeightValue(q))
-            for q, f in tb.entries
+            ApproxRecord((f,), ErrVal((t,), (f,)).certified_interval(), HeightValue(f.denominator))
+            for f in fracs
         ]
         assert records((t,), kind, HeightValue(10 ** 6)) == want
 
@@ -965,7 +1017,8 @@ def _float_scan_max_ties(targets, cap, opt):
 
 
 def _max_opt(targets, cap):
-    return ErrVal(targets, [_BestTable(t).best_at(cap)[1] for t in targets])
+    best = [_BestTable(t).best_at(cap) for t in targets]
+    return ErrVal(targets, [Fraction(p, q) for q, p in best])
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 7, 50, 999, 3000, 10 ** 5])
@@ -1141,7 +1194,7 @@ def test_fast_max_repeated_target_refined_further_in_one_copy(cap):
     assert rec.point[0] == rec.point[1]
     # fast_best works on fresh copies, so give the rule the refined copy itself
     x = (golden_target(), deeper)
-    opt = ErrVal(x, [_BestTable(t).best_at(cap)[1] for t in x])
+    opt = _max_opt(x, cap)
     assert _simplest_point(x, opt) == rec.point
     assert deeper._best_bits >= 1024
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heightlab import exponents
-from heightlab.approx_search import DEFAULT_ENUM_CAP, ErrVal, _frontier, records
+from heightlab.approx_search import DEFAULT_ENUM_CAP, ErrVal, _record_err, _record_walk, records
 from heightlab.errors import InsufficientDataError
 from heightlab.exponents import (
     TraceEntry,
@@ -361,11 +361,11 @@ def test_last_trace_entries_match_in_order_certification_past_192_bits(kind):
     # 192 bits of the earlier ones; entries read after it must still equal
     # the eager trace's
     x = (golden_target(), golden_target()) if kind is HeightKind.MIN else (golden_target(),)
-    # the premise, on one coordinate's walk run here on clones: the trace
-    # walks each coordinate under max, on copies of its own
-    y = tuple(t.clone() for t in x[:1])
-    walk = list(_frontier(y, HeightKind.MAX, 10 ** 30, DEFAULT_ENUM_CAP))
-    walk[-1].certified_interval()
+    # the premise, on one coordinate's walk: the trace walks each coordinate
+    # under max, on copies of its own, as _record_walk does here
+    y, walk = _record_walk(x[:1], HeightKind.MAX, HeightValue(10 ** 30), DEFAULT_ENUM_CAP)
+    walk = list(walk)
+    _record_err(y, walk[-1]).certified_interval()
     assert y[0]._best_bits > 192
     tr = omega_estimate(x, kind, HeightValue(10 ** 30))
     eager = omega_estimate(x, kind, HeightValue(10 ** 30), reducer="running_max")

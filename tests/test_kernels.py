@@ -17,6 +17,7 @@ replaced, seeded at 2**ceil(bits/k).
 import hashlib
 import math
 import random
+from bisect import bisect_right
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -26,19 +27,25 @@ from hypothesis import given, settings, strategies as st
 
 from heightlab import approx_search
 from heightlab.approx_search import (
+    DEFAULT_ENUM_CAP,
     Budget,
     ErrVal,
     _Atom,
+    _BestTable,
     _cmp_atoms,
+    _den_cap,
     _err_beats_power,
+    _record_err,
+    _record_height,
+    _record_walk,
     fast_best,
     records,
     solutions_count,
 )
 from heightlab.cf_engine import ConvergentCursor
-from heightlab.errors import PrecisionExhaustedError
+from heightlab.errors import CapExceededError, PrecisionExhaustedError
 from heightlab.exponents import omega_estimate
-from heightlab.heights import HeightKind, HeightValue, floor_pow, iroot
+from heightlab.heights import HeightKind, HeightValue, floor_pow, height, iroot
 from heightlab.numerics import (
     BitsTarget,
     Interval,
@@ -171,6 +178,10 @@ def _build(spec):
     return RationalTarget(value)
 
 
+def _atom(target, frac):
+    return _Atom(target, frac.numerator, frac.denominator)
+
+
 @contextmanager
 def _recorded():
     """The (target.key, bits) of every enclosure request made in the block."""
@@ -249,7 +260,7 @@ def _atoms(case):
     u_spec, fu, v_spec, fv, same = case
     tu = _build(u_spec)
     tv = tu if same else _build(v_spec)
-    return _Atom(tu, fu), _Atom(tv, fv)
+    return _atom(tu, fu), _atom(tv, fv)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +348,9 @@ def _check_power_case(case):
     spec, frac, base, tau = case
     r = floor_pow(base, tau)
     with _recorded() as log:
-        got = _outcome(_err_beats_power, _Atom(_build(spec), frac), base, tau, r)
+        got = _outcome(_err_beats_power, _atom(_build(spec), frac), base, tau, r)
     with _recorded() as ref_log:
-        want = _outcome(_ref_err_beats_power, _Atom(_build(spec), frac), base, tau, r)
+        want = _outcome(_ref_err_beats_power, _atom(_build(spec), frac), base, tau, r)
     assert got == want
     assert log == ref_log
 
@@ -461,3 +472,83 @@ def test_kernels_keep_refinement_history(name, monkeypatch):
         assert "_ref_err_beats_power" in used
     else:
         assert "_ref_cmp_atoms" in used and "_ref_certified_quotient" in used
+
+
+# ---------------------------------------------------------------------------
+# the integer-keyed record walk against the walk of one ErrVal per step
+
+
+def _errval_frontier(targets, kind, cap, enum_cap):
+    """The frontier walk as it was when it yielded an ``ErrVal`` per step:
+    an atom for every table entry, made before the walk starts."""
+    tables = [_BestTable(t) for t in targets]
+    for tb in tables:
+        tb.extend_to(cap)
+    atoms = [[_Atom(t, p, q) for q, p in tb.entries] for t, tb in zip(targets, tables)]
+    den_lists = [tb.dens for tb in tables]
+    product = kind in (HeightKind.PROD, HeightKind.PROD_ROOT)
+    idx = [0] * len(tables)
+    steps = 0
+    while all(k < len(ds) for k, ds in zip(idx, den_lists)):
+        dens = [ds[k] for k, ds in zip(idx, den_lists)]
+        if product:
+            if math.prod(dens) > cap:
+                return
+        else:
+            idx = [bisect_right(ds, max(dens)) - 1 for ds in den_lists]
+        steps += 1
+        if steps > enum_cap:
+            raise CapExceededError("frontier walk exceeds enumeration cap")
+        ev = ErrVal.from_atoms([a[k] for k, a in zip(idx, atoms)])
+        tied = [0]
+        for i in range(1, len(ev.atoms)):
+            c = _cmp_atoms(ev.atoms[i], ev.atoms[tied[0]])
+            if c > 0:
+                tied = [i]
+            elif c == 0:
+                tied.append(i)
+        yield ev, tied[0]
+        for i in tied:
+            idx[i] += 1
+
+
+def _per_target(log):
+    out = {}
+    for key, bits in log:
+        out.setdefault(key, []).append(bits)
+    return out
+
+
+WALK_CASES = [
+    (1, HeightKind.MAX),
+    (2, HeightKind.MAX),
+    (3, HeightKind.MAX),
+    (2, HeightKind.PROD),
+    (3, HeightKind.PROD),
+    (3, HeightKind.PROD_ROOT),
+]
+
+
+@pytest.mark.parametrize("d, kind", WALK_CASES)
+def test_integer_walk_keeps_the_errval_walk_and_its_refinement_history(d, kind):
+    # each record is certified as it is reached, as records does, so the
+    # walk's comparisons run on targets that certification refined
+    cap = HeightValue(10 ** 6)
+    for seed in range(20):
+        x = sample_uniform(seed, d)
+        with _recorded() as log:
+            targets, walk = _record_walk(x, kind, cap, DEFAULT_ENUM_CAP)
+            got = []
+            for rec in walk:
+                point = tuple(Fraction(p, q) for q, p in rec[0])
+                iv = _record_err(targets, rec).certified_interval()
+                got.append((point, _record_height(rec, kind), rec[1], iv))
+        with _recorded() as ref_log:
+            targets = tuple(t.clone() for t in x)
+            want = []
+            scalar_cap = _den_cap(kind, cap, d)
+            for ev, champ in _errval_frontier(targets, kind, scalar_cap, DEFAULT_ENUM_CAP):
+                want.append((ev.point, height(ev.point, kind), champ, ev.certified_interval()))
+        assert len(got) >= 20
+        assert got == want, (d, kind, seed)
+        assert _per_target(log) == _per_target(ref_log), (d, kind, seed)
