@@ -695,34 +695,18 @@ def test_ties_are_every_candidate_within_the_optimum(monkeypatch):
     assert ties == {"brute": 4064, "fast": 3160}
 
 
-def _per_tuple_ties(targets, den_tuples, opt):
-    """The tie sweep that certified every coordinate's candidates again for
-    each tuple, with no cache over (coordinate, q)."""
-    champ = opt.champion()
-    points = set()
-    for dens in den_tuples:
-        kept = []
-        for t, q in zip(targets, dens):
-            fracs = [a.frac for a in _coord_options(t, q) if _cmp_atoms(a, champ) <= 0]
-            if not fracs:
-                break
-            kept.append(fracs)
-        else:
-            points.update(itertools.product(*kept))
-    return points
-
-
-def test_tie_sets_match_the_per_tuple_sweep(monkeypatch):
+def test_tie_sets_match_the_uncached_sweep(monkeypatch):
     # three d = 3 prod_root queries of the benchmark, whose sweeps revisit a
     # (coordinate, q) in thousands of tuples, then check 2's instances on
-    # both routes; the sizes are the ones the per-tuple sweep gave
+    # both routes: the cached sweep gives the uncached per-tuple sweep's set,
+    # and the sizes are the ones the sweep gave before it cached
     collect = approx_search._collect_ties
     sizes = {"brute": [], "fast": []}
     route = "fast"
 
     def checked(targets, den_tuples, opt):
         got = collect(targets, den_tuples, opt)
-        assert got == _per_tuple_ties(targets, den_tuples, opt)
+        assert got == _filtered_ties(targets, den_tuples, opt)
         sizes[route].append(len(got))
         return got
 

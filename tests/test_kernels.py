@@ -7,7 +7,8 @@ only.  Results must be equal, a reference ``PrecisionExhaustedError`` must
 come back with the same message, and the enclosure requests, the
 (target.key, bits) of every ``RealTarget.enclosure`` call, must be the same
 sequence: records certify on their walk's own targets, so a change in
-refinement history would move certificates.
+refinement history would move certificates.  The integer-keyed record walk
+is held the same way against the walk that built an ``ErrVal`` per step.
 
 ``iroot`` seeds Newton's method from a float root, and ``floor_pow`` is
 floor(x**e) through it; both are checked against the Newton iteration it
@@ -28,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 from heightlab import approx_search
 from heightlab.approx_search import (
     DEFAULT_ENUM_CAP,
+    ApproxRecord,
     Budget,
     ErrVal,
     _Atom,
@@ -35,9 +37,6 @@ from heightlab.approx_search import (
     _cmp_atoms,
     _den_cap,
     _err_beats_power,
-    _record_err,
-    _record_height,
-    _record_walk,
     fast_best,
     records,
     solutions_count,
@@ -507,7 +506,7 @@ def _errval_frontier(targets, kind, cap, enum_cap):
                 tied = [i]
             elif c == 0:
                 tied.append(i)
-        yield ev, tied[0]
+        yield ev
         for i in tied:
             idx[i] += 1
 
@@ -531,24 +530,20 @@ WALK_CASES = [
 
 @pytest.mark.parametrize("d, kind", WALK_CASES)
 def test_integer_walk_keeps_the_errval_walk_and_its_refinement_history(d, kind):
-    # each record is certified as it is reached, as records does, so the
-    # walk's comparisons run on targets that certification refined
+    # records certifies each record as the walk reaches it, so the walk's
+    # later comparisons run on targets that certification refined
     cap = HeightValue(10 ** 6)
     for seed in range(20):
         x = sample_uniform(seed, d)
         with _recorded() as log:
-            targets, walk = _record_walk(x, kind, cap, DEFAULT_ENUM_CAP)
-            got = []
-            for rec in walk:
-                point = tuple(Fraction(p, q) for q, p in rec[0])
-                iv = _record_err(targets, rec).certified_interval()
-                got.append((point, _record_height(rec, kind), rec[1], iv))
+            got = records(x, kind, cap)
         with _recorded() as ref_log:
             targets = tuple(t.clone() for t in x)
-            want = []
-            scalar_cap = _den_cap(kind, cap, d)
-            for ev, champ in _errval_frontier(targets, kind, scalar_cap, DEFAULT_ENUM_CAP):
-                want.append((ev.point, height(ev.point, kind), champ, ev.certified_interval()))
+            want = [
+                ApproxRecord(ev.point, ev.certified_interval(), height(ev.point, kind))
+                for ev in _errval_frontier(
+                    targets, kind, _den_cap(kind, cap, d), DEFAULT_ENUM_CAP)
+            ]
         assert len(got) >= 20
         assert got == want, (d, kind, seed)
         assert _per_target(log) == _per_target(ref_log), (d, kind, seed)
