@@ -47,14 +47,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .cf_engine import ConvergentCursor
 from .errors import CapExceededError, PrecisionExhaustedError, UnboundedSearchError
 from .heights import HeightKind, HeightValue, floor_pow, height, height_of_dens
 from .numerics import Interval, RealTarget, precisions, refine
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ENUM_CAP = 10 ** 7
 _CHUNK = 500_000
@@ -304,11 +305,30 @@ def _best_entries(target: RealTarget) -> Iterator[Tuple[int, int]]:
     increasing q.
 
     Each family of intermediate fractions (pa + k*pb)/(qa + k*qb), k <= a,
-    between consecutive convergents starts at the certified break-even index
-    k*: the smallest k beating pb/qb, so the half-quotient rule is never
-    assumed.  The 0/1 seed is a best approximation unless the first family's
-    1/1 already is one (k* = 1); the target 0 has no partial quotient, and
-    0/1 is its only entry.
+    between the convergents pa/qa = p_{n-1}/q_{n-1} and pb/qb = p_n/q_n
+    starts at the break-even index k*: the smallest k whose fraction is
+    strictly closer to x than pb/qb.
+
+    k* follows from the parity of a = a_{n+1} (the half-quotient rule,
+    Khinchin, *Continued Fractions*, ch. II).  Let alpha = x_{n+1} be the
+    complete quotient, so a = floor(alpha), let s = qa/qb in [0, 1] and
+    delta = |qb*x - pb|.  Then |qa*x - pa| = alpha*delta, so the fraction at
+    k has |q*x - p| = (alpha - k)*delta with q = qa + k*qb, and it beats
+    pb/qb exactly when (alpha - k)*qb < qa + k*qb, that is when
+    2k > alpha - s.  As alpha - s lies in [a - 1, a + 1), every k >= (a+1)/2
+    beats and every k <= (a-1)/2 does not:
+
+    - odd a: k* = (a + 1)/2, with no comparison;
+    - even a: k* = a/2 if the fraction at a/2 beats pb/qb, else a/2 + 1,
+      decided by one certified comparison.
+
+    A tie 2k = alpha - s needs a rational alpha, so a rational x (as for
+    3/4 = [0; 1, 2, 1], whose 1/2 lies as far from it as 1/1), and counts as
+    not beating: the comparison is strict.
+
+    The 0/1 seed is a best approximation unless the first family's 1/1
+    already is one (k* = 1); the target 0 has no partial quotient, and 0/1
+    is its only entry.
     """
     cursor = ConvergentCursor(target)
     seeded = False
@@ -319,20 +339,18 @@ def _best_entries(target: RealTarget) -> Iterator[Tuple[int, int]]:
             if not seeded:
                 yield 1, 0
             return
-        base = _Atom(target, pb, qb)
-        lo, hi = 1, row.a
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _cmp_atoms(_Atom(target, pa + mid * pb, qa + mid * qb), base) < 0:
-                hi = mid
-            else:
-                lo = mid + 1
+        a = row.a
+        k_star = (a + 1) // 2
+        if a % 2 == 0:
+            half = _Atom(target, pa + k_star * pb, qa + k_star * qb)
+            if _cmp_atoms(half, _Atom(target, pb, qb)) >= 0:
+                k_star += 1
         if not seeded:
             seeded = True
-            if lo >= 2:
+            if k_star >= 2:
                 yield 1, 0
         # consecutive convergents have pa*qb - pb*qa = +-1, so these are reduced
-        for k in range(lo, row.a + 1):
+        for k in range(k_star, a + 1):
             yield qa + k * qb, pa + k * pb
 
 
@@ -431,6 +449,8 @@ def _grid_for(kind: HeightKind, d: int, cap: int, enum_cap: int) -> np.ndarray:
     lcm <= cap.  A column with more than enum_cap rows raises
     CapExceededError.
     """
+    import numpy as np
+
     if cap > enum_cap:
         raise CapExceededError(f"{cap} denominators exceed enumeration cap {enum_cap}")
     product = kind in (HeightKind.PROD, HeightKind.PROD_ROOT)
@@ -479,6 +499,8 @@ def _filter_bounds(qcol: np.ndarray, x_lo: float, x_hi: float):
     about 1e-7 of an error of 1e-9 at |a| ~ 1/2, far beyond _SLOP, so it gets
     its own slack 2^-50*|a|.  1e-300 covers underflow.
     """
+    import numpy as np
+
     f = np.floor(qcol * x_lo).astype(np.int64)
     qf = qcol.astype(np.float64)
     lo = np.full(len(qcol), np.inf)
@@ -511,6 +533,8 @@ def _lcm_bounds(targets: Sequence[RealTarget], ds: np.ndarray):
     covers the roundings of its own sum and of the final - and +, so hi stays
     strictly above every error, as ``_lcm_scan``'s keep rule needs.
     """
+    import numpy as np
+
     lo = np.zeros(len(ds))
     hi = np.zeros(len(ds))
     for x_lo, x_hi in zip(*_coord_float_bounds(targets)):
@@ -526,6 +550,8 @@ def _phase1(grid: np.ndarray, targets: Sequence[RealTarget]):
     """Outer float bounds on each grid row's error.  A coordinate's bound
     depends only on its denominator, so it is computed once per q and
     gathered by column."""
+    import numpy as np
+
     qs = np.arange(1, int(grid.max()) + 1, dtype=np.int64)
     tuple_lo = np.full(len(grid), -np.inf)
     tuple_hi = np.full(len(grid), -np.inf)
@@ -616,7 +642,7 @@ def brute_force_best(
     grid = _grid_for(budget.kind, len(targets), cap, enum_cap)
     tuple_lo, tuple_hi = _phase1(grid, targets)
     opt_hi = tuple_hi.min()
-    if not np.isfinite(opt_hi):
+    if not math.isfinite(opt_hi):
         raise PrecisionExhaustedError("no admissible candidate point")
     survivors = grid[tuple_lo <= opt_hi].tolist()
 
@@ -639,6 +665,8 @@ def _qualifying_dens(
     den_cap: int, x_lo: float, x_hi: float, opt_hi_f: float, enum_cap: int
 ) -> List[int]:
     """Dens <= den_cap whose best candidate might reach error <= opt (floats)."""
+    import numpy as np
+
     if den_cap > enum_cap:
         raise CapExceededError(f"tie scan over {den_cap} denominators exceeds cap")
     qs = np.arange(1, den_cap + 1, dtype=np.int64)
@@ -933,6 +961,8 @@ def _lcm_scan(targets, lcm_cap: int, enum_cap: int) -> List[int]:
     it.  Every other D is kept, which includes every record and every D that
     ties the optimum: upper bounds lie strictly above the errors they bound.
     """
+    import numpy as np
+
     if lcm_cap > enum_cap:
         raise CapExceededError(f"lcm scan over {lcm_cap} denominators exceeds cap {enum_cap}")
     kept = []

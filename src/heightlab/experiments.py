@@ -12,13 +12,10 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import median
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .approx_search import DEFAULT_ENUM_CAP, check_tau_terms, solutions_count
 from .errors import CapExceededError, InsufficientDataError
@@ -165,6 +162,8 @@ def khintchine_experiment(cfg: RunConfig, workers: Optional[int] = None) -> RunR
     if workers <= 1:
         rows = [_omega_trial(j) for j in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_omega_trial, jobs, chunksize=4))
     result = RunResult(
@@ -230,6 +229,8 @@ def series_diagnostic(
     sum over q^(1-tau*s/d) to the d-th power.  Both converge exactly when
     s > 2d/tau, decided in rational arithmetic independent of the sums.
     """
+    import numpy as np
+
     if kind not in _SERIES_KINDS:
         raise ValueError(f"series is defined for max and prod_d_root, not {kind.name.lower()}")
     if d < 1:
@@ -329,6 +330,8 @@ def _cells(q: int, k: int, level: int) -> int:
 
 def _bits(mask: int) -> List[int]:
     """Indices of the set bits of ``mask``."""
+    import numpy as np
+
     raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
     return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
@@ -354,6 +357,8 @@ def box_count_probe(
 
     Exploratory: finite scales only bracket the limsup set loosely.
     """
+    import numpy as np
+
     if d != 2:
         raise ValueError("probe is implemented for d = 2")
     if kind not in _SERIES_KINDS:

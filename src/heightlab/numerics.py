@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Tuple, Union
 
-from mpmath.libmp import fzero, from_int, mpf_div, mpf_exp, mpf_log
-from mpmath.libmp import round_ceiling as _CEIL, round_floor as _FLOOR
-
 from .errors import PrecisionExhaustedError
 
 DEFAULT_PRECISION_BUDGET = 4096
@@ -312,12 +309,17 @@ def parse_target(spec: str, budget: int = DEFAULT_PRECISION_BUDGET) -> RealTarge
 # from_int, mpf_div, mpf_log and mpf_exp at the same precision, rounded floor
 # for a lower bound and ceiling for an upper one.  So the endpoints are the
 # same dyadic numbers bit for bit, and they enclose the true value as before.
+# They import mpmath themselves, so that importing heightlab does not.
 
 
 def _mpf_bound(value: Union[int, Fraction], bits: int, rnd: str) -> tuple:
-    """The mpf bound of value rounded toward rnd (_FLOOR or _CEIL), as
-    ``mpi_div`` rounds that end of ``iv.mpf(p) / iv.mpf(q)`` at
-    ``iv.prec = bits``."""
+    """The mpf bound of value rounded toward rnd (libmp's round_floor or
+    round_ceiling), as ``mpi_div`` rounds that end of
+    ``iv.mpf(p) / iv.mpf(q)`` at ``iv.prec = bits``."""
+    from mpmath.libmp import (
+        fzero, from_int, mpf_div, round_ceiling as _CEIL, round_floor as _FLOOR,
+    )
+
     p, q = value.numerator, value.denominator
     if p == 0:
         return fzero
@@ -338,6 +340,8 @@ def ln_enclosure(value: Union[int, Fraction, Interval], bits: int = 128) -> Inte
     """Certified enclosure of ln(value), value > 0, or of ln over an
     exact-rational interval of positive reals: from the log of the lower end's
     floor bound to the log of the upper end's ceiling bound."""
+    from mpmath.libmp import mpf_log, round_ceiling as _CEIL, round_floor as _FLOOR
+
     lower, upper = (value.lower, value.upper) if isinstance(value, Interval) else (value, value)
     if lower <= 0:
         raise ValueError("ln requires a positive argument")
@@ -349,6 +353,8 @@ def ln_enclosure(value: Union[int, Fraction, Interval], bits: int = 128) -> Inte
 
 def exp_enclosure(x: Interval, bits: int = 128) -> Interval:
     """Certified enclosure of exp over an exact-rational interval."""
+    from mpmath.libmp import mpf_exp, round_ceiling as _CEIL, round_floor as _FLOOR
+
     lo, hi = _mpf_bound(x.lower, bits, _FLOOR), _mpf_bound(x.upper, bits, _CEIL)
     return Interval(
         _mpf_to_fraction(mpf_exp(lo, bits, _FLOOR)), _mpf_to_fraction(mpf_exp(hi, bits, _CEIL))
@@ -360,7 +366,7 @@ def pow_enclosure(base: Union[int, Fraction], exponent: Fraction, bits: int = 12
     base = Fraction(base)
     if base <= 0:
         raise ValueError("pow requires a positive base")
-    if exponent == 0:
+    if exponent == 0 or base == 1:
         return Interval(Fraction(1), Fraction(1))
     if exponent.denominator == 1 and abs(exponent.numerator) <= 64:
         exact = base ** exponent.numerator

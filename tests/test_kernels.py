@@ -8,7 +8,9 @@ come back with the same message, and the enclosure requests, the
 (target.key, bits) of every ``RealTarget.enclosure`` call, must be the same
 sequence: records certify on their walk's own targets, so a change in
 refinement history would move certificates.  The integer-keyed record walk
-is held the same way against the walk that built an ``ErrVal`` per step.
+is held the same way against the walk that built an ``ErrVal`` per step, and
+the break-even index of ``_best_entries``, read off the quotient's parity,
+against the bisection it replaced.
 
 ``iroot`` seeds Newton's method from a float root, and ``floor_pow`` is
 floor(x**e) through it; both are checked against the Newton iteration it
@@ -21,6 +23,7 @@ import random
 from bisect import bisect_right
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice, takewhile
 from unittest import mock
 
 import pytest
@@ -34,6 +37,7 @@ from heightlab.approx_search import (
     ErrVal,
     _Atom,
     _BestTable,
+    _best_entries,
     _cmp_atoms,
     _den_cap,
     _err_beats_power,
@@ -47,6 +51,7 @@ from heightlab.exponents import omega_estimate
 from heightlab.heights import HeightKind, HeightValue, floor_pow, height, iroot
 from heightlab.numerics import (
     BitsTarget,
+    CFTarget,
     Interval,
     RationalTarget,
     RealTarget,
@@ -547,3 +552,92 @@ def test_integer_walk_keeps_the_errval_walk_and_its_refinement_history(d, kind):
         assert len(got) >= 20
         assert got == want, (d, kind, seed)
         assert _per_target(log) == _per_target(ref_log), (d, kind, seed)
+
+
+# ---------------------------------------------------------------------------
+# the break-even index from the quotient's parity against the bisection
+
+
+def _bisected_entries(target):
+    """``_best_entries`` as it was when it bisected each family's break-even
+    index over k in [1, a], one new atom and one comparison per probe."""
+    cursor = ConvergentCursor(target)
+    seeded = False
+    while True:
+        pa, pb, qa, qb = cursor.state
+        row = cursor.advance()
+        if row is None:
+            if not seeded:
+                yield 1, 0
+            return
+        base = _Atom(target, pb, qb)
+        lo, hi = 1, row.a
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _cmp_atoms(_Atom(target, pa + mid * pb, qa + mid * qb), base) < 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if not seeded:
+            seeded = True
+            if lo >= 2:
+                yield 1, 0
+        for k in range(lo, row.a + 1):
+            yield qa + k * qb, pa + k * pb
+
+
+def _entries_up_to(entries, cap):
+    return list(takewhile(lambda e: e[0] <= cap, entries))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_parity_break_even_matches_bisection_on_bits_targets(seed):
+    cap = 10 ** 12
+    got = _entries_up_to(_best_entries(BitsTarget(seed, 0)), cap)
+    assert got == _entries_up_to(_bisected_entries(BitsTarget(seed, 0)), cap)
+
+
+# small quotients, and large even and odd ones whose families hold up to 10^15
+# entries: the comparison stops inside the first large family it reaches
+quotients = st.one_of(
+    st.integers(1, 12), st.integers(10 ** 6, 10 ** 6 + 3), st.integers(10 ** 15, 10 ** 15 + 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(period=st.lists(quotients, min_size=1, max_size=8))
+def test_parity_break_even_matches_bisection_on_large_quotients(period):
+    def target():
+        return CFTarget(repr(period), lambda n: period[(n - 1) % len(period)])
+
+    got = list(islice(_best_entries(target()), 300))
+    assert got == list(islice(_bisected_entries(target()), 300))
+
+
+def test_parity_break_even_matches_bisection_on_rationals(monkeypatch):
+    # every p/q with q < 80, whose last quotients give the terminal ties
+    # 2k = alpha - s, as 3/4 = [0; 1, 2, 1] does at 1/2 against 1/1; the rule
+    # compares once per even quotient and never for an odd one
+    calls = []
+
+    def counted(u, v):
+        calls.append(1)
+        return _cmp_atoms(u, v)
+
+    for q in range(1, 80):
+        for p in range(q):
+            if math.gcd(p, q) != 1:
+                continue
+            x = Fraction(p, q)
+            want = list(_bisected_entries(RationalTarget(x)))
+            with monkeypatch.context() as m:
+                m.setattr(approx_search, "_cmp_atoms", counted)
+                calls.clear()
+                got = list(_best_entries(RationalTarget(x)))
+            assert got == want, x
+            cursor = ConvergentCursor(RationalTarget(x))
+            evens = 0
+            while (row := cursor.advance()) is not None:
+                evens += row.a % 2 == 0
+            assert len(calls) == evens, x
+    assert (2, 1) not in list(_best_entries(RationalTarget(Fraction(3, 4))))

@@ -403,6 +403,14 @@ def _exp_argument(rng: random.Random) -> Interval:
 
 
 @pytest.mark.parametrize("bits", [64, 128, 160, 192])
+def test_pow_enclosure_of_one_is_the_interval_contexts_exact_one(bits):
+    # fs_exponent(MAX, 2) takes 1^(1/2), which needs no logarithm
+    one = Interval(Fraction(1), Fraction(1))
+    for exponent in (Fraction(1, 2), Fraction(-7, 3), Fraction(10**6 + 1, 10**6 + 3)):
+        assert pow_enclosure(1, exponent, bits) == _iv_pow(1, exponent, bits) == one
+
+
+@pytest.mark.parametrize("bits", [64, 128, 160, 192])
 def test_elementary_functions_match_interval_context_bit_for_bit(bits):
     rng = random.Random(7000 + bits)
     iv_prec, mp_prec = iv.prec, mp.prec
