@@ -1,8 +1,8 @@
 """Best rational approximation under a height budget.
 
 Two independent routes compute the same answer: a certified brute-force
-enumeration over denominator tuples, and a fast route built on per-coordinate
-best-approximation tables.  Both resolve every comparison exactly: floating
+enumeration over denominator tuples, and a fast route built on each
+coordinate's best approximations.  Both resolve every comparison exactly: floating
 point only prefilters, and the winner set plus tie-break order come from
 interval refinement or rational arithmetic.  Every search checks its
 arguments in one front door, ``_search``.
@@ -22,17 +22,18 @@ and a certified error (``ErrVal``) is built only for a record that a caller
 returns or certifies.
 
 ``fast_best`` returns the lex-min tie, so under max, and under every kind
-at d = 1, it needs no tie set: its answer is each coordinate's simplest
-fraction within the optimum's error E* of x_i, found by a continued-fraction
-descent and certified against the optimum, at a cost independent of the cap.
-Product ties still come from a float scan over each coordinate's
-denominators.
+at d = 1, it needs neither a tie set nor a table: its optimum takes each
+coordinate's best approximation at the cap, read off one family of its
+continued fraction (``_best_at``), and its answer is each coordinate's
+simplest fraction within the optimum's error E* of x_i, found by a
+continued-fraction descent.  Product ties come from a float scan over each
+coordinate's denominators.
 
 Under the lcm height a point whose height divides D has coordinates in
 (1/D)Z, so its best choice at D is the nearest multiples round(D*x_i)/D.  One
-pass certifies those points at the D that a chunked float scan over
-D = 1..cap keeps; it yields the lcm records, hence the optimum, and the set of
-points that tie the optimum, from which ``fast_best`` takes its answer.
+pass certifies those points, on the atoms that chose them, at the D that a
+chunked float scan over D = 1..cap keeps; it yields the lcm records, hence the
+optimum, and the points that tie it, among which ``fast_best`` answers.
 
 Tie-break of ``fast_best`` and ``brute_force_best``: smallest numerator
 vector (lexicographic), then smallest denominator vector.  A point of
@@ -209,22 +210,14 @@ def _tied(atoms: Sequence[_Atom]) -> List[int]:
 
 
 class ErrVal:
-    """Certified max-norm error of one candidate point."""
+    """Certified max-norm error of the point of ``atoms``, reusing their cached
+    ends; ``champ`` is the champion's index, when a walk already certified it."""
 
     __slots__ = ("atoms", "_champ")
 
-    def __init__(self, targets: Sequence[RealTarget], point: Sequence[Fraction]) -> None:
-        self.atoms = tuple(_Atom(t, f.numerator, f.denominator) for t, f in zip(targets, point))
-        self._champ: Optional[int] = None
-
-    @classmethod
-    def from_atoms(cls, atoms: Sequence[_Atom], champ: Optional[int] = None) -> "ErrVal":
-        """The error of the point of ``atoms``, reusing their cached ends;
-        ``champ`` is the champion's index, when a walk already certified it."""
-        ev = cls.__new__(cls)
-        ev.atoms = tuple(atoms)
-        ev._champ = champ
-        return ev
+    def __init__(self, atoms: Sequence[_Atom], champ: Optional[int] = None) -> None:
+        self.atoms = tuple(atoms)
+        self._champ = champ
 
     @property
     def point(self) -> Tuple[Fraction, ...]:
@@ -289,25 +282,24 @@ def _neighbours(target: RealTarget, q: int) -> Tuple[int, int]:
     raise PrecisionExhaustedError(f"cannot certify floor({q} * {target.key})")
 
 
-def _nearest_multiples(target: RealTarget, q: int) -> List[Fraction]:
-    """The multiples of 1/q nearest x, certified: both when q*x is a half-integer."""
+def _nearest_multiples(target: RealTarget, q: int) -> List[_Atom]:
+    """Atoms of the multiples of 1/q nearest x, certified: both at a half-integer q*x."""
     lower, upper = (_Atom(target, p, q) for p in _neighbours(target, q))
     c = _cmp_atoms(lower, upper)
-    return [a.frac for a, near in ((lower, c <= 0), (upper, c >= 0)) if near]
+    return [a for a, near in ((lower, c <= 0), (upper, c >= 0)) if near]
 
 
 # ---------------------------------------------------------------------------
 # per-coordinate best-approximation table
 
 
-def _best_entries(target: RealTarget) -> Iterator[Tuple[int, int]]:
-    """Best approximations p/q of one coordinate as pairs (q, p), in
-    increasing q.
-
-    Each family of intermediate fractions (pa + k*pb)/(qa + k*qb), k <= a,
-    between the convergents pa/qa = p_{n-1}/q_{n-1} and pb/qb = p_n/q_n
-    starts at the break-even index k*: the smallest k whose fraction is
-    strictly closer to x than pb/qb.
+def _families(target: RealTarget) -> Iterator[Tuple[int, int, int, int, int, int]]:
+    """The families of best approximations of one coordinate, as rows
+    (pa, pb, qa, qb, k*, a).  Between the convergents pa/qa = p_{n-1}/q_{n-1}
+    and pb/qb = p_n/q_n the entries are (pa + k*pb)/(qa + k*qb) for
+    k* <= k <= a, reduced as pa*qb - pb*qa = +-1; the last is the next
+    convergent, and the break-even index k* is the smallest k whose fraction
+    is strictly closer to x than pb/qb.
 
     k* follows from the parity of a = a_{n+1} (the half-quotient rule,
     Khinchin, *Continued Fractions*, ch. II).  Let alpha = x_{n+1} be the
@@ -326,18 +318,17 @@ def _best_entries(target: RealTarget) -> Iterator[Tuple[int, int]]:
     3/4 = [0; 1, 2, 1], whose 1/2 lies as far from it as 1/1), and counts as
     not beating: the comparison is strict.
 
-    The 0/1 seed is a best approximation unless the first family's 1/1
-    already is one (k* = 1); the target 0 has no partial quotient, and 0/1
-    is its only entry.
+    The 0/1 seed is a best approximation unless the first family (qa = 0)
+    has k* = 1.  It is the row (p_{-2}, p_{-1}, q_{-2}, q_{-1}, k*, a_0) of the
+    integer part, whose one entry is 0/1, and the target 0's only row.
     """
     cursor = ConvergentCursor(target)
-    seeded = False
     while True:
         pa, pb, qa, qb = cursor.state
         row = cursor.advance()
         if row is None:
-            if not seeded:
-                yield 1, 0
+            if qa == 0:
+                yield 0, 1, 1, 0, 0, 0
             return
         a = row.a
         k_star = (a + 1) // 2
@@ -345,13 +336,31 @@ def _best_entries(target: RealTarget) -> Iterator[Tuple[int, int]]:
             half = _Atom(target, pa + k_star * pb, qa + k_star * qb)
             if _cmp_atoms(half, _Atom(target, pb, qb)) >= 0:
                 k_star += 1
-        if not seeded:
-            seeded = True
-            if k_star >= 2:
-                yield 1, 0
-        # consecutive convergents have pa*qb - pb*qa = +-1, so these are reduced
+        if qa == 0 and k_star >= 2:
+            yield 0, 1, 1, 0, 0, 0
+        yield pa, pb, qa, qb, k_star, a
+
+
+def _best_entries(target: RealTarget) -> Iterator[Tuple[int, int]]:
+    """Best approximations p/q of one coordinate as pairs (q, p), in
+    increasing q: the entries of every family of ``_families``."""
+    for pa, pb, qa, qb, k_star, a in _families(target):
         for k in range(k_star, a + 1):
             yield qa + k * qb, pa + k * pb
+
+
+def _best_at(target: RealTarget, cap: int) -> Tuple[int, int]:
+    """The best approximation (q, p) of one coordinate with q <= cap, for
+    cap >= 1, off the cap's family: the first whose last entry (k = a) lies
+    past the cap.  Its largest k within the cap is (cap - qa) // qb; below k*
+    the answer is the entry before, pb/qb (the seed 0/1 in the first family).
+    ``_BestTable.extend_to(cap)`` reads the same families, so both make the
+    same certified comparisons.  Past a rational's last family: its last entry."""
+    for pa, pb, qa, qb, k_star, a in _families(target):
+        if qa + a * qb > cap:
+            k = (cap - qa) // qb
+            return (qa + k * qb, pa + k * pb) if k >= k_star else (qb, pb)
+    return qa + a * qb, pa + a * pb
 
 
 _END = (math.inf, None)
@@ -367,7 +376,6 @@ class _BestTable:
 
     def __init__(self, target: RealTarget) -> None:
         self.entries: List[Tuple[int, int]] = []
-        self.dens: List[int] = []  # the entries' denominators, for bisection
         self._source = _best_entries(target)
         self._ahead: Optional[Tuple] = None  # the first entry past the cap, once read
 
@@ -376,19 +384,11 @@ class _BestTable:
             self._ahead = next(self._source, _END)
         while self._ahead[0] <= den_cap:
             self.entries.append(self._ahead)
-            self.dens.append(self._ahead[0])
             self._ahead = next(self._source, _END)
-
-    def best_at(self, den_cap: int) -> Tuple[int, int]:
-        self.extend_to(den_cap)
-        idx = bisect_right(self.dens, den_cap) - 1
-        if idx < 0:
-            raise ValueError("no entry at denominator cap >= 1")
-        return self.entries[idx]
 
     def dens_up_to(self, den_cap: int) -> List[int]:
         self.extend_to(den_cap)
-        return self.dens[:bisect_right(self.dens, den_cap)]
+        return [q for q, _ in self.entries if q <= den_cap]
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +581,7 @@ def _tuple_best(targets, dens) -> Optional[ErrVal]:
             return None
         # the two nearest integers give at most two candidates
         best.append(opts[1] if len(opts) == 2 and _cmp_atoms(opts[1], opts[0]) < 0 else opts[0])
-    return ErrVal.from_atoms(best)
+    return ErrVal(best)
 
 
 def _collect_ties(targets, den_tuples: Iterable[Sequence[int]], opt: ErrVal):
@@ -626,7 +626,7 @@ def _lex_min(points: Iterable[Tuple[Fraction, ...]]) -> Tuple[Fraction, ...]:
 def _finish(targets, kind: HeightKind, point) -> ApproxRecord:
     """The answer's record, certified on fresh copies of the targets: its
     interval depends only on (targets, point), not on the search's refinement."""
-    ev = ErrVal([t.clone() for t in targets], point)
+    ev = ErrVal([_Atom(t.clone(), f.numerator, f.denominator) for t, f in zip(targets, point)])
     return ApproxRecord(ev.point, ev.certified_interval(), height(ev.point, kind))
 
 
@@ -755,7 +755,7 @@ def fast_best(
     """Table-driven minimizer; same contract and output as brute_force_best.
 
     Under max, and under every kind at d = 1, the optimum takes each
-    coordinate's best table entry at the cap, with error E*, and the answer
+    coordinate's best approximation at the cap, with error E*, and the answer
     is each coordinate's simplest fraction in W_i = [x_i - E*, x_i + E*]:
 
     - no point beats E*, so the ties are exactly the points whose every
@@ -781,8 +781,8 @@ def fast_best(
     kind = budget.kind
     targets, cap = _search(x, kind, budget.bound)
     if kind is HeightKind.MAX or len(targets) == 1:
-        best = [_BestTable(t).best_at(cap) for t in targets]
-        opt = ErrVal.from_atoms([_Atom(t, p, q) for t, (q, p) in zip(targets, best)])
+        best = [_best_at(t, cap) for t in targets]
+        opt = ErrVal([_Atom(t, p, q) for t, (q, p) in zip(targets, best)])
         return _finish(targets, kind, _simplest_point(targets, opt))
     if kind is HeightKind.LCM:
         _, ties = _lcm_opt(targets, cap, enum_cap)
@@ -850,14 +850,14 @@ def _record_walk(
 
 
 def _record_height(rec: _Record, kind: HeightKind) -> HeightValue:
-    """A record's height: its fractions are reduced, so it is its point's."""
+    """A record's height, its point's: its fractions are reduced, or share an lcm record's D."""
     return height_of_dens([q for q, _ in rec[0]], kind)
 
 
 def _record_err(targets, rec: _Record) -> ErrVal:
     """The error of a record's point, its champion as the walk certified it."""
     keys, champ = rec
-    return ErrVal.from_atoms([_Atom(t, p, q) for t, (q, p) in zip(targets, keys)], champ)
+    return ErrVal([_Atom(t, p, q) for t, (q, p) in zip(targets, keys)], champ)
 
 
 def _last_record(targets, walk: Iterable[_Record]) -> ErrVal:
@@ -915,8 +915,8 @@ def _frontier(
     entry at H' in every coordinate.
     """
     tables = [_BestTable(t) for t in targets]
-    for tb in tables:
-        tb.extend_to(cap)
+    # a past-the-end denominator of inf stops the walk at an exhausted table
+    den_lists = [tb.dens_up_to(cap) + [math.inf] for tb in tables]
     if len(tables) == 1:
         for steps, key in enumerate(tables[0].entries, 1):
             if steps > enum_cap:
@@ -924,8 +924,6 @@ def _frontier(
             yield (key,), 0
         return
     entries = [tb.entries for tb in tables]
-    # a past-the-end denominator of inf stops the walk at an exhausted table
-    den_lists = [tb.dens + [math.inf] for tb in tables]
     atoms = [[None] * len(e) for e in entries]
     coords = range(len(tables))
     product = kind in (HeightKind.PROD, HeightKind.PROD_ROOT)
@@ -994,21 +992,23 @@ def _lcm_opt(targets, lcm_cap: int, enum_cap: int):
     ``_nearest_multiples`` over D* and over each later D whose point compares
     equal to D*'s: values the walk computes anyway.  An exact zero error ends
     the walk, as nothing beats it and every multiple of D repeats x; its one
-    tie is x itself.  The chain holds the records as ``_Record`` keys.
+    tie is x itself.  A point is certified on the unreduced atoms (p_i, D)
+    that chose it, which give the reduced point's decisions and intervals;
+    a record's keys (D, p_i) give its lcm height D.
     """
     chain: List[_Record] = []
     last: Optional[ErrVal] = None
     ties = set()
     for dd in _lcm_scan(targets, lcm_cap, enum_cap):
         near = [_nearest_multiples(t, dd) for t in targets]
-        ev = ErrVal(targets, [m[0] for m in near])
+        ev = ErrVal([m[0] for m in near])
         c = ev.compare(last) if last is not None else -1
         if c < 0:
             last = ev
             chain.append(ev.record())
             ties = set()
         if c <= 0:
-            ties.update(iter_product(*near))
+            ties.update(iter_product(*([a.frac for a in m] for m in near)))
         if ev.champion().exact == 0:
             break
     return chain, ties

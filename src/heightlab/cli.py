@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -40,7 +39,6 @@ from .experiments import (
     box_count_probe,
     khintchine_experiment,
     min_split_experiment,
-    run_files,
     series_diagnostic,
 )
 from .exponents import constant_estimate, omega_estimate, trace_csv_rows
@@ -405,14 +403,6 @@ def _cmd_experiment(args) -> int:
             enum_cap=args.enum_cap,
             out=args.out,
         )
-        if args.out:
-            # the run files are written once every trial has run: check them first
-            for path in run_files(args.out):
-                existed = os.path.exists(path)
-                with _output(path, "a"):
-                    pass
-                if not existed:
-                    os.remove(path)
         result = khintchine_experiment(cfg, workers=args.workers)
         agg = result.aggregates
         line = (

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from statistics import median
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -60,35 +60,21 @@ class RunConfig:
     out: Optional[str] = None
 
     def to_json(self) -> Dict:
-        return {
-            "name": self.name,
-            "d": self.d,
-            "kind": self.kind.name.lower(),
-            "tau": None if self.tau is None else _frac_str(self.tau),
-            "base_seed": self.base_seed,
-            "trials": self.trials,
-            "height_cap": [self.height_cap.base, self.height_cap.root],
-            "precision_budget": self.precision_budget,
-            "enum_cap": self.enum_cap,
-            "warmup": self.warmup,
-            "out": self.out,
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["kind"] = self.kind.name.lower()
+        obj["tau"] = None if self.tau is None else _frac_str(self.tau)
+        obj["height_cap"] = [self.height_cap.base, self.height_cap.root]
+        return obj
 
     @staticmethod
     def from_json(obj: Dict) -> "RunConfig":
-        return RunConfig(
-            name=obj["name"],
-            d=obj["d"],
-            kind=HeightKind[obj["kind"].upper()],
-            tau=None if obj["tau"] is None else Fraction(obj["tau"]),
-            base_seed=obj["base_seed"],
-            trials=obj["trials"],
-            height_cap=HeightValue(*obj["height_cap"]),
-            precision_budget=obj["precision_budget"],
-            enum_cap=obj["enum_cap"],
-            warmup=obj.get("warmup", 100),
-            out=obj.get("out"),
-        )
+        """The config of ``to_json``; a field missing from ``obj`` (``warmup``
+        and ``out`` in older run files) takes its default."""
+        kw = {f.name: obj[f.name] for f in fields(RunConfig) if f.name in obj}
+        kw["kind"] = HeightKind[obj["kind"].upper()]
+        kw["tau"] = None if obj["tau"] is None else Fraction(obj["tau"])
+        kw["height_cap"] = HeightValue(*obj["height_cap"])
+        return RunConfig(**kw)
 
 
 @dataclass(frozen=True)
@@ -155,6 +141,16 @@ def khintchine_experiment(cfg: RunConfig, workers: Optional[int] = None) -> RunR
         raise ValueError("need trials >= 1")
     if cfg.kind not in (HeightKind.MAX, HeightKind.PROD_ROOT, HeightKind.MIN):
         raise ValueError(f"unsupported kind {cfg.kind.name.lower()}")
+    if cfg.out:
+        # the run files are written once every trial has run: check them first
+        for path in run_files(cfg.out):
+            existed = os.path.exists(path)
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                raise ValueError(f"cannot write output {path!r}: {exc}")
+            if not existed:
+                os.remove(path)
     started = time.perf_counter()
     jobs = [(cfg, cfg.base_seed + i) for i in range(cfg.trials)]
     if workers is None:

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import time
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +55,18 @@ from heightlab.numerics import (
 from test_acceptance import route_cases
 
 X27 = (RationalTarget(Fraction(2, 7)), RationalTarget(Fraction(3, 7)))
+
+
+def _err(targets, point):
+    """The certified error of a point, over one atom per coordinate."""
+    return ErrVal([_Atom(t, f.numerator, f.denominator) for t, f in zip(targets, point)])
+
+
+def _table_best_at(tb, cap):
+    """``_BestTable.best_at`` as it was: the table's best entry (q, p) at the
+    cap, by extending the table, then bisecting its denominators."""
+    tb.extend_to(cap)
+    return tb.entries[bisect_right([q for q, _ in tb.entries], cap) - 1]
 
 
 def test_exact_pair_max_budget_three():
@@ -295,7 +308,7 @@ def test_prod_records_are_brute_force_optima(d, kind):
             if prod == 1:
                 continue
             below = brute_force_best(x, Budget(kind, HeightValue(prod - 1, root)))
-            assert ErrVal(x, below.point).compare(ErrVal(x, rec.point)) > 0
+            assert _err(x, below.point).compare(_err(x, rec.point)) > 0
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -309,12 +322,12 @@ def test_max_and_lcm_records_are_brute_force_optima(d, kind):
         x = sample_uniform(seed, d)
         for rec in records(x, kind, HeightValue(cap)):
             assert height(rec.point, kind) == rec.height
-            assert ErrVal(x, rec.point).certified_interval() == rec.error
+            assert _err(x, rec.point).certified_interval() == rec.error
             assert brute_force_best(x, Budget(kind, rec.height)).error == rec.error
             if rec.height == HeightValue(1):
                 continue
             below = brute_force_best(x, Budget(kind, HeightValue(rec.height.base - 1)))
-            assert ErrVal(x, below.point).compare(ErrVal(x, rec.point)) > 0
+            assert _err(x, below.point).compare(_err(x, rec.point)) > 0
 
 
 def _enumerated_prod_records(targets, kind, prod_cap):
@@ -421,7 +434,7 @@ def _divisor_walk_records(targets, cap):
                     if best is None or _cmp_atoms(atom, best) < 0:
                         best = atom
             point.append(best.frac)
-        ev = ErrVal(targets, point)
+        ev = _err(targets, point)
         if math.lcm(*(f.denominator for f in ev.point)) != dd:
             continue
         if cur is None or ev.compare(cur) < 0:
@@ -492,13 +505,13 @@ def test_certified_interval_at_the_budget_end():
     # 2^-30, so the budget runs out and the last interval is returned, away
     # from 0 as the exponents module's soundness argument needs
     p = Fraction(math.floor(x.lower * 2 ** 170), 2 ** 170)
-    iv = ErrVal((t,), (p,)).certified_interval()
+    iv = _err((t,), (p,)).certified_interval()
     assert iv == x.distance(p)
     assert iv.lower > 0 and iv.width > iv.lower / 2 ** 40
     # the centre of the last enclosure: its interval touches 0 at the budget
     c = (x.lower + x.upper) / 2
     with pytest.raises(PrecisionExhaustedError, match="still touches 0 at 200 bits"):
-        ErrVal((t,), (c,)).certified_interval()
+        _err((t,), (c,)).certified_interval()
 
 
 @pytest.mark.parametrize(
@@ -794,7 +807,7 @@ def _breakpoint_scan_records(targets, cap):
     breakpoints = sorted({q for tb in tables for q in tb.dens_up_to(cap)})
     chain, cur, cur_hi = [], None, math.inf
     for bp in breakpoints:
-        ev = ErrVal(targets, [Fraction(p, q) for q, p in (tb.best_at(bp) for tb in tables)])
+        ev = _err(targets, [Fraction(p, q) for q, p in (_table_best_at(tb, bp) for tb in tables)])
         if ev.interval(192).lower > cur_hi:
             continue
         if cur is None or ev.compare(cur) < 0:
@@ -829,7 +842,7 @@ def test_one_coordinate_records_are_the_table_entries(kind):
         tb.extend_to(10 ** 6)
         fracs = [Fraction(p, q) for q, p in tb.entries]
         want = [
-            ApproxRecord((f,), ErrVal((t,), (f,)).certified_interval(), HeightValue(f.denominator))
+            ApproxRecord((f,), _err((t,), (f,)).certified_interval(), HeightValue(f.denominator))
             for f in fracs
         ]
         assert records((t,), kind, HeightValue(10 ** 6)) == want
@@ -1001,8 +1014,8 @@ def _float_scan_max_ties(targets, cap, opt):
 
 
 def _max_opt(targets, cap):
-    best = [_BestTable(t).best_at(cap) for t in targets]
-    return ErrVal(targets, [Fraction(p, q) for q, p in best])
+    best = [_table_best_at(_BestTable(t), cap) for t in targets]
+    return _err(targets, [Fraction(p, q) for q, p in best])
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 7, 50, 999, 3000, 10 ** 5])
@@ -1161,10 +1174,48 @@ def test_both_routes_certify_one_interval_after_a_deep_comparison():
     assert rec.error.upper.denominator == 2 ** 192
 
 
+def _best_within(x: Fraction, cap: int) -> Fraction:
+    """The closest fraction to x with denominator <= cap: x's last convergent
+    within the cap, or the semiconvergent after it with the largest
+    denominator within the cap if that one is strictly closer."""
+    p0, q0, p1, q1 = 0, 1, 1, 0  # p_{n-2}, q_{n-2}, p_{n-1}, q_{n-1}
+    rest = x
+    while True:
+        a = math.floor(rest)
+        if q0 + a * q1 > cap:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        if rest == a:
+            return x
+        rest = 1 / (rest - a)
+    k = (cap - q0) // q1
+    semi = Fraction(p0 + k * p1, q0 + k * q1)
+    conv = Fraction(p1, q1)
+    return semi if abs(x - semi) < abs(x - conv) else conv
+
+
+@pytest.mark.parametrize("exp", [18, 30, 100])
+def test_max_answer_of_liouville_and_golden_reads_one_family(exp):
+    # a table to the cap would list about 5*10^11 of liouville's best
+    # approximations (5*10^71 at 10^100); truncations of the two series, far
+    # closer than the errors at stake, decide the expected point in Fractions
+    cap = 10 ** exp
+    started = time.perf_counter()
+    rec = fast_best((liouville_target(), golden_target()), Budget(HeightKind.MAX, HeightValue(cap)))
+    assert time.perf_counter() - started < 1.0
+    liouville = sum(Fraction(1, 10 ** math.factorial(k)) for k in range(1, 7))
+    fib = [1, 1]
+    while len(fib) < 1200:
+        fib.append(fib[-1] + fib[-2])
+    golden = Fraction(fib[-2], fib[-1])
+    assert rec.point == (_best_within(liouville, cap), _best_within(golden, cap))
+    assert rec.height == HeightValue(max(f.denominator for f in rec.point))
+
+
 def test_answer_interval_is_certified_on_fresh_copies():
     # the search refines sqrt2 far past the certificate's start precision
     rec = fast_best((sqrt2_target(),), Budget(HeightKind.MAX, HeightValue(10 ** 12)))
-    assert rec.error == ErrVal((sqrt2_target(),), rec.point).certified_interval()
+    assert rec.error == _err((sqrt2_target(),), rec.point).certified_interval()
 
 
 @pytest.mark.parametrize("cap", [10, 1000, 10 ** 6])

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -163,6 +164,39 @@ def test_run_config_json_roundtrip():
         HeightValue(10 ** 6), out="x.json",
     )
     assert RunConfig.from_json(cfg.to_json()) == cfg
+
+
+def test_run_config_json_text_and_older_run_files():
+    cfg = RunConfig(
+        "khintchine", 3, HeightKind.PROD_ROOT, Fraction(5, 2), 7, 2,
+        HeightValue(10 ** 6), out="x.json",
+    )
+    assert json.dumps(cfg.to_json()) == (
+        '{"name": "khintchine", "d": 3, "kind": "prod_root", "tau": "5/2", '
+        '"base_seed": 7, "trials": 2, "height_cap": [1000000, 1], '
+        '"precision_budget": 4096, "enum_cap": 10000000, "warmup": 100, "out": "x.json"}'
+    )
+    # a run file written before warmup and out were fields
+    older = cfg.to_json()
+    del older["warmup"], older["out"]
+    assert RunConfig.from_json(older) == replace(cfg, out=None)
+
+
+def test_unwritable_out_is_refused_before_the_first_trial(tmp_path, monkeypatch):
+    calls = []
+    trial = experiments._omega_trial
+
+    def counted(job):
+        calls.append(job)
+        return trial(job)
+
+    monkeypatch.setattr(experiments, "_omega_trial", counted)
+    dest = tmp_path / "missing" / "k.json"
+    cfg = RunConfig("khintchine", 2, HeightKind.MAX, None, 1, 3, HeightValue(100), out=str(dest))
+    with pytest.raises(ValueError, match=f"cannot write output {str(dest)!r}"):
+        khintchine_experiment(cfg, workers=1)
+    assert calls == []
+    assert not (tmp_path / "missing").exists()
 
 
 def test_run_result_save(tmp_path):

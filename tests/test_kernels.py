@@ -8,9 +8,11 @@ come back with the same message, and the enclosure requests, the
 (target.key, bits) of every ``RealTarget.enclosure`` call, must be the same
 sequence: records certify on their walk's own targets, so a change in
 refinement history would move certificates.  The integer-keyed record walk
-is held the same way against the walk that built an ``ErrVal`` per step, and
+is held the same way against the walk that built an ``ErrVal`` per step,
 the break-even index of ``_best_entries``, read off the quotient's parity,
-against the bisection it replaced.
+against the bisection it replaced, ``_best_at``, read off the cap's family,
+against the table it replaced, and the lcm pass on the atoms it compared
+against its round trip through reduced ``Fraction``s.
 
 ``iroot`` seeds Newton's method from a float root, and ``floor_pow`` is
 floor(x**e) through it; both are checked against the Newton iteration it
@@ -23,7 +25,7 @@ import random
 from bisect import bisect_right
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import islice, takewhile
+from itertools import islice, product, takewhile
 from unittest import mock
 
 import pytest
@@ -37,10 +39,16 @@ from heightlab.approx_search import (
     ErrVal,
     _Atom,
     _BestTable,
+    _best_at,
     _best_entries,
     _cmp_atoms,
     _den_cap,
     _err_beats_power,
+    _lcm_scan,
+    _lex_min,
+    _nearest_multiples,
+    _record_err,
+    _record_height,
     fast_best,
     records,
     solutions_count,
@@ -59,6 +67,7 @@ from heightlab.numerics import (
     refine,
     sample_uniform,
 )
+from test_approx_search import _table_best_at
 
 # ---------------------------------------------------------------------------
 # references: the Fraction arithmetic of the kernels
@@ -290,8 +299,27 @@ def test_atom_ends_match_interval_distance(case, bits):
         ln, ld, un, ud = atom.interval(bits)
         assert Interval(Fraction(ln, ld), Fraction(un, ud)) == _ref_interval(atom, bits)
     ivs = [_ref_interval(a, bits) for a in (u, v)]
-    assert ErrVal.from_atoms((u, v)).interval(bits) == Interval(
+    assert ErrVal((u, v)).interval(bits) == Interval(
         max(i.lower for i in ivs), max(i.upper for i in ivs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=atom_pairs(), ku=st.integers(1, 10 ** 6), kv=st.integers(1, 10 ** 6))
+def test_unreduced_atoms_keep_the_errval(case, ku, kv):
+    # an lcm pass certifies its points on atoms (k*p, k*q) at a common
+    # denominator: they must decide, certify and refine as (p, q) does
+    def run(k, m):
+        u, v = _atoms(case)
+        su, sv = _Atom(u.target, k * u.p, k * u.q), _Atom(v.target, m * v.p, m * v.q)
+        return (_outcome(ErrVal((su, sv)).certified_interval),
+                _outcome(ErrVal((su,)).compare, ErrVal((sv,))))
+
+    with _recorded() as log:
+        got = run(ku, kv)
+    with _recorded() as ref_log:
+        want = run(1, 1)
+    assert got == want
+    assert log == ref_log
 
 
 def _quotients(cursor, n):
@@ -489,7 +517,7 @@ def _errval_frontier(targets, kind, cap, enum_cap):
     for tb in tables:
         tb.extend_to(cap)
     atoms = [[_Atom(t, p, q) for q, p in tb.entries] for t, tb in zip(targets, tables)]
-    den_lists = [tb.dens for tb in tables]
+    den_lists = [[q for q, _ in tb.entries] for tb in tables]
     product = kind in (HeightKind.PROD, HeightKind.PROD_ROOT)
     idx = [0] * len(tables)
     steps = 0
@@ -503,7 +531,7 @@ def _errval_frontier(targets, kind, cap, enum_cap):
         steps += 1
         if steps > enum_cap:
             raise CapExceededError("frontier walk exceeds enumeration cap")
-        ev = ErrVal.from_atoms([a[k] for k, a in zip(idx, atoms)])
+        ev = ErrVal([a[k] for k, a in zip(idx, atoms)])
         tied = [0]
         for i in range(1, len(ev.atoms)):
             c = _cmp_atoms(ev.atoms[i], ev.atoms[tied[0]])
@@ -641,3 +669,105 @@ def test_parity_break_even_matches_bisection_on_rationals(monkeypatch):
                 evens += row.a % 2 == 0
             assert len(calls) == evens, x
     assert (2, 1) not in list(_best_entries(RationalTarget(Fraction(3, 4))))
+
+
+# ---------------------------------------------------------------------------
+# the best entry at a cap, read off the cap's family, against the table
+
+
+def _assert_best_at_is_the_table(make_target, cap):
+    with _recorded() as log:
+        got = _outcome(_best_at, make_target(), cap)
+    with _recorded() as ref_log:
+        want = _outcome(_table_best_at, _BestTable(make_target()), cap)
+    assert got == want, cap
+    assert log == ref_log, cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), cap=st.one_of(st.integers(1, 100), st.integers(1, 10 ** 12)))
+def test_best_at_matches_the_table_on_bits_targets(seed, cap):
+    _assert_best_at_is_the_table(lambda: BitsTarget(seed, 0), cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(period=st.lists(quotients, min_size=1, max_size=8),
+       j=st.integers(0, 299), off=st.integers(0, 10 ** 40))
+def test_best_at_matches_the_table_on_large_quotients(period, j, off):
+    # a cap in [q_j, q_{j+1}) for the j-th and next entries, so the table
+    # holds at most 301 entries even inside a family of 10^15: with j at a
+    # convergent the cap falls below the next family's break-even index
+    def target():
+        return CFTarget(repr(period), lambda n: period[(n - 1) % len(period)])
+
+    entries = list(islice(_best_entries(target()), j + 2))
+    lo, hi = entries[j][0], entries[j + 1][0]
+    _assert_best_at_is_the_table(target, lo + off % (hi - lo))
+
+
+def test_best_at_matches_the_table_on_rationals():
+    # every p/q with q < 80 at every cap where the answer or the families
+    # read can change: each entry's denominator, the one below it, and past q
+    for q in range(1, 80):
+        for p in range(q):
+            if math.gcd(p, q) != 1:
+                continue
+            x = Fraction(p, q)
+            dens = [d for d, _ in _best_entries(RationalTarget(x))]
+            for cap in sorted({c for d in dens for c in (d - 1, d)} - {0} | {q + 1}):
+                _assert_best_at_is_the_table(lambda: RationalTarget(x), cap)
+    assert _best_at(RationalTarget(Fraction(0)), 5) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the lcm pass on compared atoms against the Fraction round trip
+
+
+def _fraction_lcm_opt(targets, lcm_cap, enum_cap):
+    """``_lcm_opt`` as it was when each kept D's nearest multiples came back
+    as reduced ``Fraction``s and the point's error was built on fresh atoms."""
+    chain, last, ties = [], None, set()
+    for dd in _lcm_scan(targets, lcm_cap, enum_cap):
+        near = [[a.frac for a in _nearest_multiples(t, dd)] for t in targets]
+        ev = ErrVal([_atom(t, m[0]) for t, m in zip(targets, near)])
+        c = ev.compare(last) if last is not None else -1
+        if c < 0:
+            last = ev
+            chain.append(ev.record())
+            ties = set()
+        if c <= 0:
+            ties.update(product(*near))
+        if ev.champion().exact == 0:
+            break
+    return chain, ties
+
+
+def _certified_lcm(route, x, cap):
+    """A pass's records as ``records`` certifies them, and its tie set."""
+    targets = tuple(t.clone() for t in x)
+    chain, ties = route(targets, cap, DEFAULT_ENUM_CAP)
+    recs = []
+    for rec in chain:
+        ev = _record_err(targets, rec)
+        recs.append((ev.point, ev.certified_interval(), _record_height(rec, HeightKind.LCM)))
+    return recs, ties
+
+
+LCM_CASES = [
+    (sample_uniform(seed, d), cap)
+    for seed in range(40) for d in (2, 3) for cap in (50, 3000, 10 ** 5)
+] + [((RationalTarget(Fraction(1, 3)), RationalTarget(Fraction(2, 7) + Fraction(1, 10 ** 9))),
+      10 ** 4)]
+
+
+def test_lcm_pass_on_compared_atoms_keeps_the_fraction_round_trip():
+    for x, cap in LCM_CASES:
+        with _recorded() as log:
+            got = _certified_lcm(approx_search._lcm_opt, x, cap)
+        with _recorded() as ref_log:
+            want = _certified_lcm(_fraction_lcm_opt, x, cap)
+        assert got == want, (x, cap)
+        assert log == ref_log, (x, cap)
+        recs, ties = got
+        assert recs[-1][2] <= HeightValue(cap)
+        assert fast_best(x, Budget(HeightKind.LCM, HeightValue(cap))).point == _lex_min(ties)
