@@ -13,13 +13,13 @@ nearest q*x (``_coord_options``).  Over tuples within the budget, the ties of
 the optimum E* are every point of candidates within E*: such a point is
 admissible, so it cannot beat E* (``_collect_ties``).
 
-Record chains under max, prod and prod_root, and every one-coordinate chain,
-come from one frontier walk over the per-coordinate tables, which moves the
-coordinates that tie the max-norm error; ``fast_best``'s product optimum is
-that walk's last record.  The walks run on integers: a table entry is a pair
-(q, p), a record is each coordinate's (q, p) plus the index of its champion,
-and a certified error (``ErrVal``) is built only for a record that a caller
-returns or certifies.
+A one-coordinate record chain is its table up to the cap.  Chains under
+max, prod and prod_root at d >= 2 come from one frontier walk over the
+per-coordinate tables, which moves the coordinates that tie the max-norm
+error; ``fast_best``'s product optimum is that walk's last record.  The
+walks run on integers: a table entry is a pair (q, p), a record is each
+coordinate's (q, p), and a certified error (``ErrVal``) is built only for a
+record that a caller returns or certifies.
 
 ``fast_best`` returns the lex-min tie, so under max, and under every kind
 at d = 1, it needs neither a tie set nor a table: its optimum takes each
@@ -69,9 +69,8 @@ _CERT_BITS = 192
 # largest denominator and numerator of a counting tau: exact powers grow with
 # its terms, and past these bounds a count at cap 10 or a box probe can hang
 TAU_MAX_DEN, TAU_MAX_NUM = 1000, 10 ** 4
-# a record of a walk as integer keys: each coordinate's (q, p), and the index
-# of the coordinate whose error is the record's max-norm error (its champion)
-_Record = Tuple[Tuple[Tuple[int, int], ...], int]
+# a record of a walk as integer keys: each coordinate's (q, p)
+_Record = Tuple[Tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -129,12 +128,6 @@ class _Atom:
             self._enc = enc
             self._ends = _distance_ends(enc, self.p, self.q)
         return self._ends
-
-    def float_bounds(self) -> Tuple[float, float]:
-        ln, ld, un, ud = self.interval(_CERT_BITS)
-        # int / int is correctly rounded, as float() of the Fraction is
-        lo = max(0.0, math.nextafter(ln / ld, -math.inf))
-        return lo, math.nextafter(un / ud, math.inf)
 
     @property
     def budget(self) -> int:
@@ -211,13 +204,13 @@ def _tied(atoms: Sequence[_Atom]) -> List[int]:
 
 class ErrVal:
     """Certified max-norm error of the point of ``atoms``, reusing their cached
-    ends; ``champ`` is the champion's index, when a walk already certified it."""
+    ends; the champion's index is found on first use and kept."""
 
     __slots__ = ("atoms", "_champ")
 
-    def __init__(self, atoms: Sequence[_Atom], champ: Optional[int] = None) -> None:
+    def __init__(self, atoms: Sequence[_Atom]) -> None:
         self.atoms = tuple(atoms)
-        self._champ = champ
+        self._champ: Optional[int] = None
 
     @property
     def point(self) -> Tuple[Fraction, ...]:
@@ -227,11 +220,6 @@ class ErrVal:
         if self._champ is None:
             self._champ = _tied(self.atoms)[0]
         return self.atoms[self._champ]
-
-    def record(self) -> "_Record":
-        """This error's point as a walk record."""
-        self.champion()
-        return tuple((a.q, a.p) for a in self.atoms), self._champ
 
     def interval(self, bits: int) -> Interval:
         ends = [a.interval(bits) for a in self.atoms]
@@ -680,7 +668,8 @@ def _fast_ties(targets, cap, opt: ErrVal, enum_cap):
     A float scan over each coordinate's denominators keeps those that may
     reach opt, and ``_collect_ties`` certifies the points over their tuples.
     """
-    opt_hi_f = opt.champion().float_bounds()[1]
+    _, _, un, ud = opt.champion().interval(_CERT_BITS)
+    opt_hi_f = math.nextafter(un / ud, math.inf)  # int / int is correctly rounded
     # opt is the frontier walk's last tuple, so each of its denominators q_i
     # is the smallest one reaching error <= opt in its coordinate.  A tuple
     # tying opt therefore takes at least q_j in every coordinate j, which
@@ -730,9 +719,27 @@ def _simplest(lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def _simplest_point(targets, opt: ErrVal) -> Tuple[Fraction, ...]:
-    """Each coordinate's simplest fraction within opt's error E* of x_i: the
-    lex-min point tying opt when the cap bounds each denominator (the
-    argument is in ``fast_best``'s docstring)."""
+    """Each coordinate's simplest fraction c_i in W_i = [x_i - E*, x_i + E*]
+    clamped at 0, for opt's error E*.  If opt is the optimum under max, prod
+    or prod_root (or any kind at d = 1) at table entries p_i/q_i >= 0, c is
+    the lex-min tie when every x_i > 0:
+
+    - a tie's coordinate at q lies within E* of x_i, its numerator one of the
+      two integers nearest q*x_i, both >= 0: so it lies in W_i;
+    - in a window of nonnegative reals the simplest fraction minimises both
+      p and q (Stern-Brocot; Graham, Knuth and Patashnik, section 4.5), so c
+      is lex-min over the ties, and q(c_i) <= q_i keeps c within the budget;
+    - c_i = p/q is a candidate even where E* > 1/(2q): else (p +- 1)/q toward
+      x_i lies in W_i, and c_i's Farey neighbour between them has a smaller
+      q, or at q = 1 the candidates are 0 and 1 and c_i - 1 has a smaller p;
+    - the window from enclosures, widened by E*'s upper bound, contains W_i:
+      once its simplest fraction certifiably lies within E*, it is W_i's.
+
+    At x_i = 0 the candidates at q are -1 and 0, and -1/q ties once
+    1/q <= E* within the budget.  Under max and at d <= 2, E* <= 1/(cap + 1)
+    (Dirichlet) rules that out; under prod and prod_root at d >= 3 it
+    happens: (0, 1/6, 1/6) at prod 13 answers (-1/6, 0, 0).
+    """
     champ = opt.champion()
     point = []
     for t in targets:
@@ -755,25 +762,10 @@ def fast_best(
     """Table-driven minimizer; same contract and output as brute_force_best.
 
     Under max, and under every kind at d = 1, the optimum takes each
-    coordinate's best approximation at the cap, with error E*, and the answer
-    is each coordinate's simplest fraction in W_i = [x_i - E*, x_i + E*]:
-
-    - no point beats E*, so the ties are exactly the points whose every
-      coordinate lies within E* of x_i, with denominators within the cap;
-    - that set is a product over the coordinates, and the lex-min of a
-      product is each coordinate's (numerator, denominator) minimum;
-    - in a window of nonnegative reals the simplest fraction minimises both
-      p and q (Stern-Brocot; Graham, Knuth and Patashnik, section 4.5), so
-      its q is at most the optimum's q_i <= cap, and it is admissible;
-    - targets lie in [0, 1) and E* <= 1/(cap + 1) (Dirichlet), so no fraction
-      with a negative numerator and q <= cap lies within E*, and clamping
-      the window at 0 drops nothing;
-    - the window taken from enclosures, widened by E*'s upper bound, contains
-      W_i, so once its simplest fraction c certifiably lies within E*,
-      nothing simpler than c lies in W_i: c is W_i's simplest fraction.
-
-    Product ties at d >= 2 come from a float scan (``_fast_ties``) over the
-    frontier walk's optimum, and lcm ties from ``_lcm_opt``.
+    coordinate's best approximation at the cap, and the answer is its
+    ``_simplest_point`` (the argument is there).  Product ties at d >= 2 come
+    from a float scan (``_fast_ties``) over the frontier walk's optimum, and
+    lcm ties from ``_lcm_opt``.
 
     Each call works on fresh copies of the targets, so its result depends
     only on its arguments.
@@ -835,52 +827,54 @@ def _record_walk(
     """The fresh targets of ``records`` and its records, uncertified, as
     ``_Record`` keys; heights (``_record_height``) strictly increase.
 
-    The arguments are checked on the call, before the walk starts; a frontier
-    walk runs as it is read.  A record's error (``_record_err``) must be
-    taken on the returned targets, which the walk refined.
+    The arguments, and the ``enum_cap`` guard of a one-coordinate chain (its
+    table up to the cap), are checked on the call, before the walk starts; a
+    frontier walk runs as it is read.  A record's error (``_record_err``)
+    must be taken on the returned targets, which the walk refined.
     """
     targets, cap = _search(x, kind, height_cap)
     for t in targets:
         if t.exact_value is not None:
             raise ValueError(f"record chains need irrational coordinates, got {t.key}")
-    if kind is HeightKind.LCM and len(targets) >= 2:
-        chain, _ = _lcm_opt(targets, cap, enum_cap)
-        return targets, chain
+    if len(targets) == 1:
+        table = _BestTable(targets[0])
+        table.extend_to(cap)
+        if len(table.entries) > enum_cap:
+            raise CapExceededError("frontier walk exceeds enumeration cap")
+        return targets, ((key,) for key in table.entries)
+    if kind is HeightKind.LCM:
+        return targets, _lcm_opt(targets, cap, enum_cap)[0]
     return targets, _frontier(targets, kind, cap, enum_cap)
 
 
 def _record_height(rec: _Record, kind: HeightKind) -> HeightValue:
     """A record's height, its point's: its fractions are reduced, or share an lcm record's D."""
-    return height_of_dens([q for q, _ in rec[0]], kind)
+    return height_of_dens([q for q, _ in rec], kind)
 
 
 def _record_err(targets, rec: _Record) -> ErrVal:
-    """The error of a record's point, its champion as the walk certified it."""
-    keys, champ = rec
-    return ErrVal([_Atom(t, p, q) for t, (q, p) in zip(targets, keys)], champ)
+    """The error of a record's point."""
+    return ErrVal([_Atom(t, p, q) for t, (q, p) in zip(targets, rec)])
 
 
 def _last_record(targets, walk: Iterable[_Record]) -> ErrVal:
-    """Error of a record walk's last record: the optimum within its cap."""
-    last: Optional[_Record] = None
+    """The error of a walk's last record, its optimum within the cap: every
+    walk yields its height-1 record first."""
     for last in walk:
         pass
-    if last is None:
-        raise PrecisionExhaustedError("no admissible candidate point")
     return _record_err(targets, last)
 
 
 def _frontier(
     targets, kind: HeightKind, cap: int, enum_cap: int
 ) -> Iterator[_Record]:
-    """Record walk over the per-coordinate ``_BestTable``s.
+    """Record walk over the per-coordinate ``_BestTable``s, at d >= 2.
 
     Under prod and prod_root the cap bounds the product of the denominators;
-    under max, and under lcm at d = 1, it bounds each denominator.  Every
-    coordinate starts at its first entry, whose denominator is 1.  Each step
-    yields the current tuple as a record, its entries' (q, p) and the index
-    of its champion, then moves every coordinate whose error ties the
-    max-norm error E to its next entry; under max it then moves every
+    under max it bounds each denominator.  Every coordinate starts at its
+    first entry, whose denominator is 1.  Each step yields the current tuple's
+    entries (q, p) as a record, then moves every coordinate whose error ties
+    the max-norm error E to its next entry; under max it then moves every
     coordinate to its best entry at H', the largest denominator now reached.
     The walk stops when the product passes the cap or when a table has no
     entry left within the cap.  An exact zero error ends the walk too: it
@@ -889,7 +883,6 @@ def _frontier(
 
     Only the ties need certified errors: an entry gets an ``_Atom`` when a
     step first compares it, and later steps reuse that atom's cached ends.
-    At d = 1 nothing is compared, and the walk is the table up to the cap.
 
     A table entry is a best approximation of the first kind, so its fraction
     is the nearest reduced fraction at its denominator, and table errors
@@ -917,12 +910,6 @@ def _frontier(
     tables = [_BestTable(t) for t in targets]
     # a past-the-end denominator of inf stops the walk at an exhausted table
     den_lists = [tb.dens_up_to(cap) + [math.inf] for tb in tables]
-    if len(tables) == 1:
-        for steps, key in enumerate(tables[0].entries, 1):
-            if steps > enum_cap:
-                raise CapExceededError("frontier walk exceeds enumeration cap")
-            yield (key,), 0
-        return
     entries = [tb.entries for tb in tables]
     atoms = [[None] * len(e) for e in entries]
     coords = range(len(tables))
@@ -947,7 +934,7 @@ def _frontier(
                 q, p = entries[i][idx[i]]
                 atoms[i][idx[i]] = _Atom(targets[i], p, q)
         tied = _tied([a[k] for k, a in zip(idx, atoms)])
-        yield tuple([e[k] for k, e in zip(idx, entries)]), tied[0]
+        yield tuple([e[k] for k, e in zip(idx, entries)])
         for i in tied:
             idx[i] += 1
 
@@ -1005,7 +992,7 @@ def _lcm_opt(targets, lcm_cap: int, enum_cap: int):
         c = ev.compare(last) if last is not None else -1
         if c < 0:
             last = ev
-            chain.append(ev.record())
+            chain.append(tuple((a.q, a.p) for a in ev.atoms))
             ties = set()
         if c <= 0:
             ties.update(iter_product(*([a.frac for a in m] for m in near)))

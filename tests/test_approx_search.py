@@ -22,12 +22,16 @@ from heightlab.approx_search import (
     _coord_options,
     _den_cap,
     _filter_bounds,
+    _finish,
+    _frontier,
     _grid_for,
+    _last_record,
     _lcm_bounds,
     _lcm_scan,
     _lex_min,
     _record_height,
     _record_walk,
+    _search,
     _simplest,
     _simplest_point,
     _tuple_best,
@@ -60,6 +64,13 @@ X27 = (RationalTarget(Fraction(2, 7)), RationalTarget(Fraction(3, 7)))
 def _err(targets, point):
     """The certified error of a point, over one atom per coordinate."""
     return ErrVal([_Atom(t, f.numerator, f.denominator) for t, f in zip(targets, point)])
+
+
+def _float_upper(atom):
+    """A float at or above the atom's certified upper error bound at 192 bits:
+    int / int is correctly rounded, so one step up covers it."""
+    _, _, un, ud = atom.interval(192)
+    return math.nextafter(un / ud, math.inf)
 
 
 def _table_best_at(tb, cap):
@@ -439,7 +450,7 @@ def _divisor_walk_records(targets, cap):
             continue
         if cur is None or ev.compare(cur) < 0:
             cur = ev
-            cur_hi = ev.champion().float_bounds()[1]
+            cur_hi = _float_upper(ev.champion())
             chain.append(ApproxRecord(ev.point, ev.certified_interval(), HeightValue(dd)))
     return chain
 
@@ -745,6 +756,40 @@ def test_fast_prod_tie_sweep_stays_within_the_frontier_tuple():
     assert rec.point == (Fraction(341, 375), Fraction(9, 77), Fraction(17, 226))
 
 
+def _simplest_rule(x, kind, cap):
+    """The product answer as ``_simplest_point`` of the frontier walk's optimum."""
+    targets, den_cap = _search(x, kind, HeightValue(cap))
+    opt = _last_record(targets, _frontier(targets, kind, den_cap, DEFAULT_ENUM_CAP))
+    return _finish(targets, kind, _simplest_point(targets, opt))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", PROD_KINDS)
+def test_simplest_point_of_the_product_optimum_is_fast_best(kind, d):
+    # the argument in _simplest_point's docstring, for targets in (0, 1)
+    for seed in range(20):
+        x = sample_uniform(seed, d)
+        for cap in (7, 60, 1000):
+            b = Budget(kind, HeightValue(cap))
+            assert _simplest_rule(x, kind, cap) == fast_best(x, b), (seed, cap)
+
+
+def test_simplest_point_answers_where_the_tie_scan_exceeds_its_cap():
+    # fast_best's tie scan raises CapExceededError here
+    rec = _simplest_rule(sample_uniform(21, 3), HeightKind.PROD_ROOT, 3000)
+    assert rec.point == (Fraction(1504, 2169), Fraction(1141, 1773), Fraction(30, 43))
+    assert rec.height == HeightValue(165362391, 3)
+
+
+def test_simplest_point_misses_the_negative_tie_of_a_zero_coordinate():
+    # at x_i = 0 the candidates at q are -1 and 0, and at d = 3 under prod
+    # -1/6 lies within the optimum's error 1/6 with budget to spare
+    x = tuple(RationalTarget(f) for f in (Fraction(0), Fraction(1, 6), Fraction(1, 6)))
+    assert fast_best(x, Budget(HeightKind.PROD, HeightValue(13))).point == (
+        Fraction(-1, 6), Fraction(0), Fraction(0))
+    assert _simplest_rule(x, HeightKind.PROD, 13).point == (Fraction(0),) * 3
+
+
 @pytest.mark.parametrize(
     "coords",
     [(0,), (0, Fraction(1, 3)), (0, 0), (0, Fraction(2, 7), Fraction(1, 2)), (Fraction(1, 2), 0)],
@@ -787,10 +832,12 @@ def test_record_heights_strictly_increase(kind, d):
         _, walk = _record_walk(x, kind, cap, DEFAULT_ENUM_CAP)
         walk = list(walk)
         assert len(chain) >= 20
-        assert [tuple(Fraction(p, q) for q, p in keys) for keys, _ in walk] == [
+        assert [tuple(Fraction(p, q) for q, p in rec) for rec in walk] == [
             r.point for r in chain
         ]
         heights = [_record_height(rec, kind) for rec in walk]
+        # _last_record needs no empty-walk branch: each walk starts at height 1
+        assert heights[0] == HeightValue(1)
         assert heights == [r.height for r in chain] == [height(r.point, kind) for r in chain]
         assert all(a < b for a, b in zip(heights, heights[1:])), (kind, d, seed)
 
@@ -798,6 +845,25 @@ def test_record_heights_strictly_increase(kind, d):
 def test_record_walk_cap_guard():
     with pytest.raises(CapExceededError):
         records(sample_uniform(5, 2), HeightKind.PROD, HeightValue(10 ** 6), enum_cap=3)
+
+
+@pytest.mark.parametrize(
+    "kind", [HeightKind.MAX, HeightKind.PROD, HeightKind.PROD_ROOT, HeightKind.LCM]
+)
+def test_one_coordinate_guard_raises_before_certifying(kind, monkeypatch):
+    # golden has 30 table entries up to 10^6: the guard reads the table's
+    # length, so no record is certified before it raises
+    calls = []
+    certified = ErrVal.certified_interval
+
+    def counted(self):
+        calls.append(self.point)
+        return certified(self)
+
+    monkeypatch.setattr(ErrVal, "certified_interval", counted)
+    with pytest.raises(CapExceededError):
+        records((golden_target(),), kind, HeightValue(10 ** 6), enum_cap=5)
+    assert calls == []
 
 
 def _breakpoint_scan_records(targets, cap):
@@ -812,7 +878,7 @@ def _breakpoint_scan_records(targets, cap):
             continue
         if cur is None or ev.compare(cur) < 0:
             cur = ev
-            cur_hi = ev.champion().float_bounds()[1]
+            cur_hi = _float_upper(ev.champion())
             chain.append(ApproxRecord(ev.point, ev.certified_interval(), HeightValue(bp)))
     return chain
 
@@ -994,7 +1060,7 @@ def _float_scan_max_ties(targets, cap, opt):
     kept denominators; they are formed that way here, not tuple by tuple.
     """
     champ = opt.champion()
-    opt_hi_f = champ.float_bounds()[1]
+    opt_hi_f = _float_upper(champ)
     qs = np.arange(1, cap + 1, dtype=np.int64)
     kept = []
     for t, x_lo, x_hi in zip(targets, *_coord_float_bounds(targets)):

@@ -12,6 +12,7 @@ from heightlab.experiments import (
     RunConfig,
     _band,
     _cells,
+    _growth_verdict,
     box_count_probe,
     critical_exponent,
     khintchine_experiment,
@@ -380,6 +381,14 @@ def test_min_split_fixture_counts():
     assert all(r.verdict == "stagnating" for r in rep.rows)
     with pytest.raises(KeyError):
         rep.row("nope")
+
+
+def test_growth_verdicts():
+    assert _growth_verdict((1, 2, 5)) == "growing"
+    assert _growth_verdict((4, 4, 4)) == "stagnating"
+    assert _growth_verdict((1, 3, 3)) == "stagnating"
+    assert _growth_verdict((1, 1, 2)) == "mixed"
+    assert _growth_verdict((3, 2)) == "mixed"
 
 
 def test_min_split_validation():

@@ -733,7 +733,7 @@ def _fraction_lcm_opt(targets, lcm_cap, enum_cap):
         c = ev.compare(last) if last is not None else -1
         if c < 0:
             last = ev
-            chain.append(ev.record())
+            chain.append(tuple((a.q, a.p) for a in ev.atoms))
             ties = set()
         if c <= 0:
             ties.update(product(*near))
